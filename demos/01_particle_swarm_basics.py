@@ -16,7 +16,7 @@ space = sb.SearchSpace([
 
 
 def bumpy(X):
-    # vectorized over an (n, 2) batch
+    # run_pso passes the whole swarm as one (n, 2) batch
     r2 = (X[:, 0] - 2) ** 2 + (X[:, 1] + 1) ** 2
     return -r2 + 2.0 * np.cos(3 * X[:, 0]) * np.cos(3 * X[:, 1])
 
@@ -27,7 +27,7 @@ params = sb.PsoParams(omega=0.8, c1=1.85, c2=2.0, population=40, max_iters=200,
                       patience=200)
 sb.check_stability(params)
 
-result = sb.run_pso(space, params, bumpy, np.random.default_rng(0), vectorized=True)
+result = sb.run_pso(space, params, bumpy, np.random.default_rng(0))
 print(f"best position: {result.best_position}")
 print(f"best value:    {result.best_fitness:.6f}")
 print(f"iterations:    {len(result.trace) - 1}")

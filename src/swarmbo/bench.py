@@ -225,20 +225,25 @@ def run_local_bo(config: BoConfig, objective, restarts: int = 10,
     return run_bo(config, objective, maximizer=maximizer)
 
 
-def run_random_search(space: SearchSpace, objective, budget: int,
-                      rng: np.random.Generator):
-    """Uniform sampling baseline; returns (best_point, best_value, incumbent_trace)."""
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
+def _scan(space: SearchSpace, objective, points):
+    """Evaluate each point, materialized, in order; returns (best_point, best_value, trace)."""
     best_x, best_v = None, -np.inf
     trace = []
-    for _ in range(budget):
-        x = materialize(space, sample_uniform(space, rng))
+    for x in points:
+        x = materialize(space, x)
         v = float(objective(x))
         if v > best_v:
             best_x, best_v = x, v
         trace.append(best_v)
     return best_x, best_v, np.array(trace)
+
+
+def run_random_search(space: SearchSpace, objective, budget: int,
+                      rng: np.random.Generator):
+    """Uniform sampling baseline; returns (best_point, best_value, incumbent_trace)."""
+    if budget < 1:
+        raise ValueError("budget must be at least 1")
+    return _scan(space, objective, (sample_uniform(space, rng) for _ in range(budget)))
 
 
 def grid_points(space: SearchSpace, points_per_dim: int, cap: int = GRID_CAP):
@@ -262,15 +267,7 @@ def grid_points(space: SearchSpace, points_per_dim: int, cap: int = GRID_CAP):
 def run_grid_search(space: SearchSpace, objective, points_per_dim: int,
                     cap: int = GRID_CAP):
     """Exhaustive lattice baseline; returns (best_point, best_value, incumbent_trace)."""
-    best_x, best_v = None, -np.inf
-    trace = []
-    for x in grid_points(space, points_per_dim, cap=cap):
-        x = materialize(space, x)
-        v = float(objective(x))
-        if v > best_v:
-            best_x, best_v = x, v
-        trace.append(best_v)
-    return best_x, best_v, np.array(trace)
+    return _scan(space, objective, grid_points(space, points_per_dim, cap=cap))
 
 
 # ---------------------------------------------------------------------------
@@ -359,29 +356,46 @@ def run_method_cell(method: MethodSpec, objective_spec: ObjectiveSpec,
     if method.kind == RANDOM_SEARCH:
         x, v, trace = run_random_search(space, objective, budget,
                                         component_rng(seed, "random_search"))
-        return CellResult(x, v, trace, objective.count)
+    else:
+        # grid search, adapted for budget parity: lattice points in deterministic
+        # order truncated to the budget, padded with uniform draws if the lattice
+        # is smaller than the budget
+        pad_rng = component_rng(seed, "grid_pad")
+        padding = (sample_uniform(space, pad_rng) for _ in itertools.count())
+        points = itertools.chain(grid_points(space, method.points_per_dim), padding)
+        x, v, trace = _scan(space, objective, itertools.islice(points, budget))
+    return CellResult(x, v, trace, objective.count)
 
-    # grid search, adapted for budget parity: lattice points in deterministic
-    # order truncated to the budget, padded with uniform draws if the lattice
-    # is smaller than the budget
-    pts = itertools.islice(grid_points(space, method.points_per_dim), budget)
-    best_x, best_v, trace = None, -np.inf, []
-    n = 0
-    for x in pts:
-        x = materialize(space, x)
-        v = float(objective(x))
-        if v > best_v:
-            best_x, best_v = x, v
-        trace.append(best_v)
-        n += 1
-    pad_rng = component_rng(seed, "grid_pad")
-    for _ in range(budget - n):
-        x = materialize(space, sample_uniform(space, pad_rng))
-        v = float(objective(x))
-        if v > best_v:
-            best_x, best_v = x, v
-        trace.append(best_v)
-    return CellResult(best_x, best_v, np.array(trace), objective.count)
+
+def _run_cells(methods: list[MethodSpec], seeds: list[int],
+               objective_spec: ObjectiveSpec, space: SearchSpace | None, budget: int,
+               executor=None, **options) -> dict:
+    """Map each (method, seed) cell to its CellResult or to the exception it raised.
+
+    A failed cell is logged and isolated from the others; a method that fails
+    on every seed re-raises its first exception.
+    """
+    if not seeds:
+        raise ValueError("need at least one seed")
+    if space is None:
+        space = default_space(objective_spec)
+    cells = [(m, s) for m in methods for s in seeds]
+
+    def run_cell(cell):
+        method, seed = cell
+        try:
+            return run_method_cell(method, objective_spec, space, seed, budget, **options)
+        except Exception as exc:
+            log.warning("cell (%s, seed=%d) failed: %s", method.kind, seed, exc)
+            return exc
+
+    mapper = executor.map if executor is not None else map
+    results = dict(zip(cells, mapper(run_cell, cells)))
+    for method in methods:
+        outcomes = [results[(method, s)] for s in seeds]
+        if all(isinstance(r, Exception) for r in outcomes):
+            raise outcomes[0]
+    return results
 
 
 def run_experiment(methods: list[MethodSpec], objective_spec: ObjectiveSpec,
@@ -395,30 +409,17 @@ def run_experiment(methods: list[MethodSpec], objective_spec: ObjectiveSpec,
     """Run every method on every seed with identical budgets and aggregate.
 
     A failed (method, seed) cell is recorded as missing with a warning, never
-    silently averaged. `executor`, if given, must provide a map() over the
-    independent cells (results are order-independent by construction).
+    silently averaged; a method that fails on every seed raises its first
+    error. `executor`, if given, must provide a map() over the independent
+    cells (results are order-independent by construction).
     """
     if not methods:
         raise ValueError("need at least one method")
     if len(seeds) < 2:
         raise ValueError("need at least two seeds")
-    if space is None:
-        space = default_space(objective_spec)
-
-    cells = [(m, s) for m in methods for s in seeds]
-
-    def run_cell(cell):
-        method, seed = cell
-        try:
-            return run_method_cell(method, objective_spec, space, seed, budget,
-                                   acquisition=acquisition, pso=pso,
-                                   init_count=init_count, noise_var=noise_var)
-        except Exception as exc:
-            log.warning("cell (%s, seed=%d) failed: %s", method.kind, seed, exc)
-            return exc
-
-    mapper = executor.map if executor is not None else map
-    results = dict(zip(cells, mapper(run_cell, cells)))
+    results = _run_cells(methods, seeds, objective_spec, space, budget, executor=executor,
+                         acquisition=acquisition, pso=pso, init_count=init_count,
+                         noise_var=noise_var)
 
     reports = []
     for method in methods:
@@ -447,28 +448,24 @@ def omega_sweep(objective_spec: ObjectiveSpec, omegas: list[float],
                 acquisition: AcquisitionSpec = AcquisitionSpec(),
                 init_count: int = 5,
                 executor=None) -> list[tuple[float, float]]:
-    """Mean final best of PSO-BO per inertia weight; all omegas validated upfront."""
-    for omega in omegas:
+    """Mean final best of PSO-BO per inertia weight; all omegas validated upfront.
+
+    Any failed cell fails the sweep. `executor` is as for run_experiment.
+    """
+    methods = [MethodSpec(PSO_BO, pso=PsoParams(omega=omega, c1=c1, c2=c2)) for omega in omegas]
+    for m in methods:
         try:
-            check_stability(PsoParams(omega=omega, c1=c1, c2=c2))
+            check_stability(m.pso)
         except StabilityError as exc:
-            raise StabilityViolationError(omega) from exc
-    if space is None:
-        space = default_space(objective_spec)
-
-    cells = [(omega, seed) for omega in omegas for seed in seeds]
-
-    def run_cell(cell):
-        omega, seed = cell
-        method = MethodSpec(PSO_BO, pso=PsoParams(omega=omega, c1=c1, c2=c2))
-        return run_method_cell(method, objective_spec, space, seed, budget,
-                               acquisition=acquisition, init_count=init_count).best_value
-
-    mapper = executor.map if executor is not None else map
-    bests = dict(zip(cells, mapper(run_cell, cells)))
+            raise StabilityViolationError(m.pso.omega) from exc
+    results = _run_cells(methods, seeds, objective_spec, space, budget, executor=executor,
+                         acquisition=acquisition, init_count=init_count)
+    for res in results.values():
+        if isinstance(res, Exception):
+            raise res
     return [
-        (omega, sum(bests[(omega, s)] for s in seeds) / len(seeds))
-        for omega in omegas
+        (m.pso.omega, sum(results[(m, s)].best_value for s in seeds) / len(seeds))
+        for m in methods
     ]
 
 

@@ -98,6 +98,9 @@ def _observe(space, objective, x_raw, index, iteration, phase) -> Observation:
         y = float(objective(x_mat))
     except Exception as exc:
         raise ObjectiveFailureError(index, exc) from exc
+    if not np.isfinite(y):
+        # the GP cannot model it, and it would hide every later observation
+        raise ObjectiveFailureError(index, f"non-finite value {y}")
     return Observation(point=np.asarray(x_raw, float), materialized=x_mat,
                        y=y, iteration=iteration, phase=phase)
 
@@ -115,10 +118,8 @@ def _fit_surrogate(config: BoConfig, history: ObservationHistory, t: int) -> gp.
     xs = history.points
     ys = history.values
     if len(history) < 2:
-        # hyperparameter fitting needs two points; fall back to a bland prior
-        nv = config.noise_var if config.noise_var is not None else 1e-6
-        params = gp.KernelParams(theta0=1.0, lengthscales=np.full(config.space.dim, 0.5),
-                                 noise_var=nv)
+        # hyperparameter fitting needs two points
+        params = gp.fallback_params(config.space.dim, config.noise_var)
     else:
         params = gp.fit_hyperparams(
             config.space, xs, ys, component_rng(config.seed, f"gpfit:{t}"),
@@ -147,8 +148,7 @@ def propose_next(config: BoConfig, history: ObservationHistory, t: int,
 
     if maximizer is not None:
         return maximizer(config.space, surface, f"inner:{t}")
-    result = run_pso(config.space, config.pso, surface,
-                     component_rng(config.seed, f"pso:{t}"), vectorized=True)
+    result = run_pso(config.space, config.pso, surface, component_rng(config.seed, f"pso:{t}"))
     return result.best_position
 
 

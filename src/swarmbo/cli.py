@@ -12,6 +12,7 @@ hard error. Exit codes: 0 success, 1 runtime failure, 2 usage/config error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import json
 import os
@@ -100,6 +101,11 @@ def _parse_space(entries) -> SearchSpace:
     return space
 
 
+def _space_or(raw, default: SearchSpace | None) -> SearchSpace | None:
+    """The config's `space` section if present, else `default`."""
+    return _parse_space(raw["space"]) if raw.get("space") else default
+
+
 def _parse_objective(raw) -> bench.ObjectiveSpec:
     if "objective" not in raw or not raw["objective"]:
         raise ConfigError("config: missing required section 'objective'")
@@ -159,18 +165,17 @@ def _output_dir(args, raw) -> Path:
     return out
 
 
-def _make_executor(jobs):
+def _executor(jobs):
+    """Context manager yielding a thread pool of `jobs` workers, or None for one job."""
     if jobs is None:
         jobs = os.cpu_count() or 1
-    if jobs <= 1:
-        return None
-    return ThreadPoolExecutor(max_workers=jobs)
+    return ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else contextlib.nullcontext()
 
 
 def cmd_run(args) -> int:
     raw = load_config(args.config)
     objective_spec = _parse_objective(raw)
-    space = _parse_space(raw["space"]) if raw.get("space") else bench.default_space(objective_spec)
+    space = _space_or(raw, bench.default_space(objective_spec))
     bo_section = raw.get("bo", {}) or {}
     seed = resolve_seed(args, raw)
     config = BoConfig(
@@ -226,11 +231,10 @@ def cmd_compare(args) -> int:
     if not isinstance(seeds, list) or len(seeds) < 2:
         raise ConfigError("experiment.seeds: need at least two seeds")
     budget = int(section.get("budget", 35))
-    space = _parse_space(raw["space"]) if raw.get("space") else None
+    space = _space_or(raw, None)
     bo_section = raw.get("bo", {}) or {}
 
-    executor = _make_executor(args.jobs)
-    try:
+    with _executor(args.jobs) as executor:
         report = bench.run_experiment(
             methods, objective_spec, [int(s) for s in seeds], budget,
             space=space,
@@ -240,9 +244,6 @@ def cmd_compare(args) -> int:
             noise_var=bo_section.get("noise_var"),
             executor=executor,
         )
-    finally:
-        if executor is not None:
-            executor.shutdown()
 
     out = _output_dir(args, raw)
     bench.write_report_json(report, out / "report.json")
@@ -262,21 +263,14 @@ def cmd_sweep(args) -> int:
               [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9])]
     seeds = [int(s) for s in section.get("seeds", [0, 1])]
     budget = int(section.get("budget", 35))
-    space = _parse_space(raw["space"]) if raw.get("space") else None
-    executor = _make_executor(args.jobs)
-    try:
+    space = _space_or(raw, None)
+    with _executor(args.jobs) as executor:
         rows = bench.omega_sweep(
             objective_spec, omegas, seeds, budget,
             c1=float(section.get("c1", 1.85)), c2=float(section.get("c2", 2.0)),
             space=space, acquisition=_parse_acquisition(raw),
             executor=executor,
         )
-    except bench.StabilityViolationError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    finally:
-        if executor is not None:
-            executor.shutdown()
 
     out = _output_dir(args, raw)
     with open(out / "sweep.csv", "w", encoding="utf-8", newline="") as fh:

@@ -73,9 +73,7 @@ def matern52(a: np.ndarray, b: np.ndarray, params: KernelParams) -> float:
     b = np.atleast_1d(np.asarray(b, dtype=float))
     if a.shape != b.shape:
         raise InvalidParamsError("inputs must have equal length")
-    r2 = np.sum(((a - b) / params.lengthscales) ** 2)
-    sr5 = np.sqrt(5.0 * r2)
-    return float(params.theta0 * (1.0 + sr5 + (5.0 / 3.0) * r2) * np.exp(-sr5))
+    return float(_kernel_matrix(a[None], b[None], params)[0, 0])
 
 
 def _kernel_matrix(A: np.ndarray, B: np.ndarray, params: KernelParams) -> np.ndarray:
@@ -147,9 +145,7 @@ def fit_model(space: SearchSpace, xs, ys, params: KernelParams) -> GpModel:
                 space=space, train_x=X, train_y=y, params=params,
                 chol=L, alpha=alpha, jitter=jitter, y_mean=y_mean, y_std=y_std,
             )
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - scipy raises its own
-            last_exc = exc
-        except Exception as exc:
+        except np.linalg.LinAlgError as exc:
             last_exc = exc
         jitter *= 10.0
     raise FactorizationFailureError(f"Cholesky failed up to jitter {jitter:g}") from last_exc
@@ -179,6 +175,12 @@ def log_marginal_likelihood(model: GpModel) -> float:
     return float(
         -0.5 * model.train_y @ model.alpha - 0.5 * logdet - 0.5 * t * np.log(2.0 * np.pi)
     )
+
+
+def fallback_params(dim: int, noise_var: float | None = None) -> KernelParams:
+    """Bland default kernel used when hyperparameters cannot be fitted."""
+    return KernelParams(theta0=1.0, lengthscales=np.full(dim, 0.5),
+                        noise_var=noise_var if noise_var is not None else 1e-6)
 
 
 # keep the hyperparameter search cheap: it reruns on every BO iteration
@@ -216,15 +218,14 @@ def fit_hyperparams(
         nv = 10.0 ** z[1 + d] if fit_noise else noise_var
         return KernelParams(theta0=theta0, lengthscales=ells, noise_var=nv)
 
-    def neg_free(z: np.ndarray) -> float:
+    def lml(z: np.ndarray) -> float:
         try:
             return log_marginal_likelihood(fit_model(space, xs, ys, unpack(z)))
         except FactorizationFailureError:
             return -np.inf
 
-    result = run_pso(hyper_space, pso_params, neg_free, rng)
+    result = run_pso(hyper_space, pso_params, lambda Z: np.array([lml(z) for z in Z]), rng)
     if not np.isfinite(result.best_fitness):
-        # every candidate failed to factorize; fall back to a bland default
-        return KernelParams(theta0=1.0, lengthscales=np.full(d, 0.5),
-                            noise_var=noise_var if noise_var is not None else 1e-6)
+        # every candidate failed to factorize
+        return fallback_params(d, noise_var)
     return unpack(result.best_position)

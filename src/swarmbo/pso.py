@@ -4,6 +4,9 @@ Velocity update: v <- omega*v + c1*r1*(pbest - x) + c2*r2*(gbest - x), with
 r1, r2 drawn independently per particle and per dimension. Positions are
 clamped to the box after each move; velocities are clamped to a fraction of
 each dimension's range.
+
+Fitness functions take the whole swarm at once: an (m, d) batch of positions
+in, an (m,) array of values out.
 """
 
 from __future__ import annotations
@@ -69,14 +72,8 @@ class SwarmState:
     iteration: int = 0
 
 
-def _evaluate(fitness, X: np.ndarray, vectorized: bool) -> np.ndarray:
-    if vectorized:
-        return np.asarray(fitness(X), dtype=float)
-    return np.array([fitness(x) for x in X], dtype=float)
-
-
-def init_swarm(space: SearchSpace, params: PsoParams, fitness, rng: np.random.Generator,
-               vectorized: bool = False) -> SwarmState:
+def init_swarm(space: SearchSpace, params: PsoParams, fitness,
+               rng: np.random.Generator) -> SwarmState:
     """Random positions in the box, velocities uniform in [-vmax, vmax]."""
     validate_space(space)
     check_stability(params)
@@ -84,7 +81,7 @@ def init_swarm(space: SearchSpace, params: PsoParams, fitness, rng: np.random.Ge
     positions = rng.uniform(space.lower, space.upper, size=(m, d))
     vmax = params.vmax_fraction * space.ranges
     velocities = rng.uniform(-vmax, vmax, size=(m, d))
-    fit = _evaluate(fitness, positions, vectorized)
+    fit = np.asarray(fitness(positions), dtype=float)
     best = int(np.argmax(fit))
     return SwarmState(
         positions=positions,
@@ -98,7 +95,7 @@ def init_swarm(space: SearchSpace, params: PsoParams, fitness, rng: np.random.Ge
 
 
 def step_swarm(state: SwarmState, space: SearchSpace, params: PsoParams, fitness,
-               rng: np.random.Generator, vectorized: bool = False) -> SwarmState:
+               rng: np.random.Generator) -> SwarmState:
     """One synchronous swarm update; personal/global bests replaced only on strict improvement."""
     m, d = state.positions.shape
     r1 = rng.random((m, d))
@@ -111,7 +108,7 @@ def step_swarm(state: SwarmState, space: SearchSpace, params: PsoParams, fitness
     )
     v = np.clip(v, -vmax, vmax)
     x = clamp(space, state.positions + v)
-    fit = _evaluate(fitness, x, vectorized)
+    fit = np.asarray(fitness(x), dtype=float)
 
     improved = fit > state.best_fitness
     best_positions = np.where(improved[:, None], x, state.best_positions)
@@ -141,15 +138,14 @@ class PsoResult:
     trace: np.ndarray = field(repr=False)  # per-iteration global best
 
 
-def run_pso(space: SearchSpace, params: PsoParams, fitness, rng: np.random.Generator,
-            vectorized: bool = False) -> PsoResult:
+def run_pso(space: SearchSpace, params: PsoParams, fitness, rng: np.random.Generator) -> PsoResult:
     """Maximize `fitness` over the box; stops early after `patience` stagnant iterations."""
-    state = init_swarm(space, params, fitness, rng, vectorized=vectorized)
+    state = init_swarm(space, params, fitness, rng)
     trace = [state.global_best_fitness]
     stagnant = 0
     for _ in range(params.max_iters):
         prev = state.global_best_fitness
-        state = step_swarm(state, space, params, fitness, rng, vectorized=vectorized)
+        state = step_swarm(state, space, params, fitness, rng)
         trace.append(state.global_best_fitness)
         if state.global_best_fitness - prev < params.tol:
             stagnant += 1

@@ -89,7 +89,7 @@ def test_criterion_3_pso_correctness():
     bests = []
     for seed in range(10):
         result = sb.run_pso(space, params, lambda X: -np.sum(X * X, axis=1),
-                            np.random.default_rng(seed), vectorized=True)
+                            np.random.default_rng(seed))
         assert np.all(np.diff(result.trace) >= 0)
         bests.append(result.best_fitness)
         hits += result.best_fitness >= -1e-3
@@ -136,8 +136,7 @@ def test_criterion_5_acquisition_maximization_quality():
         params = sb.fit_hyperparams(space, xs, ys, np.random.default_rng(200 + i))
         model = sb.fit_model(space, xs, ys, params)
         surface = lambda X: evaluate(spec, model, X)
-        swarm = sb.run_pso(space, pso_params, surface, np.random.default_rng(300 + i),
-                           vectorized=True)
+        swarm = sb.run_pso(space, pso_params, surface, np.random.default_rng(300 + i))
         local = bench.local_ascent(space, surface, np.random.default_rng(400 + i),
                                    restarts=10)
         local_val = float(surface(local[None])[0])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from swarmbo import bench
 from swarmbo.bench import (
     GridTooLargeError,
     InvalidMethodParamsError,
@@ -22,7 +23,7 @@ from swarmbo.bench import (
     run_random_search,
     write_report_csv,
 )
-from swarmbo.boloop import BoConfig, component_rng
+from swarmbo.boloop import BoConfig, ObjectiveFailureError, component_rng
 from swarmbo.space import Dimension, DimensionMismatchError, INTEGER, REAL, SearchSpace
 
 BRANIN_OPT = 0.397887357729738  # value at (pi, 2.275), frozen via mpmath
@@ -170,6 +171,30 @@ class TestRunExperiment:
         assert m.min == min(vals)
         assert m.ave == sum(vals) / len(vals)
 
+    def test_non_finite_cell_is_missing(self, monkeypatch):
+        spec = ObjectiveSpec("sphere", dims=1, negate=True)
+        real = bench.make_objective
+
+        def make(spec, seed):
+            fn = real(spec, seed)
+            if seed != 1:
+                return fn
+            calls = []
+            return lambda x: calls.append(1) or (float("nan") if len(calls) == 7 else fn(x))
+
+        monkeypatch.setattr(bench, "make_objective", make)
+        report = run_experiment([MethodSpec(PSO_BO), MethodSpec(RANDOM_SEARCH)], spec,
+                                [0, 1], budget=8)
+        pso = report.methods[0]
+        assert pso.missing_seeds == [1]
+        assert list(pso.per_seed_best) == [0]
+
+    def test_method_failing_on_every_seed_reraises(self):
+        spec = ObjectiveSpec("sphere", dims=1, negate=True)
+        with pytest.raises(ValueError, match="initial-design size"):
+            run_experiment([MethodSpec(PSO_BO), MethodSpec(RANDOM_SEARCH)], spec, [0, 1],
+                           budget=5, init_count=5)
+
     def test_needs_two_seeds(self):
         spec = ObjectiveSpec("sphere", dims=1, negate=True)
         with pytest.raises(ValueError):
@@ -200,6 +225,24 @@ class TestOmegaSweep:
         spec = ObjectiveSpec("sphere", dims=1, negate=True)
         with pytest.raises(StabilityViolationError):
             omega_sweep(spec, [0.5, 1.5], [0, 1], budget=8)
+
+    def test_one_seed(self):
+        spec = ObjectiveSpec("sphere", dims=1, negate=True)
+        rows = omega_sweep(spec, [0.5, 0.9], [3], budget=8)
+        assert [w for w, _ in rows] == [0.5, 0.9]
+        assert all(np.isfinite(ave) for _, ave in rows)
+
+    def test_any_failed_cell_fails_the_sweep(self, monkeypatch):
+        spec = ObjectiveSpec("sphere", dims=1, negate=True)
+        real = bench.make_objective
+
+        def make(spec, seed):
+            fn = real(spec, seed)
+            return (lambda x: float("nan")) if seed == 1 else fn
+
+        monkeypatch.setattr(bench, "make_objective", make)
+        with pytest.raises(ObjectiveFailureError):
+            omega_sweep(spec, [0.8], [0, 1], budget=8)
 
     def test_deterministic(self):
         spec = ObjectiveSpec("sphere", dims=1, negate=True)

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swarmbo.acquisition import AcquisitionSpec
+from swarmbo.bench import ObjectiveSpec, default_space, make_objective
 from swarmbo.boloop import (
     BO,
     BoConfig,
@@ -104,6 +107,34 @@ class TestBoStep:
 
 
 class TestRunBo:
+    def test_non_finite_observation_raises_with_index(self):
+        spec = ObjectiveSpec("branin", dims=2, negate=True)
+        branin = make_objective(spec, 0)
+        calls = []
+
+        def objective(x):
+            calls.append(1)
+            return float("nan") if len(calls) == 7 else branin(x)
+
+        config = BoConfig(space=default_space(spec), init_count=5, iterations=12, seed=0)
+        with pytest.raises(ObjectiveFailureError) as info:
+            run_bo(config, objective)
+        assert info.value.index == 6
+        assert len(calls) == 7
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(0, 5), st.sampled_from([float("nan"), float("inf"), float("-inf")]))
+    def test_any_non_finite_observation_raises(self, at, bad):
+        calls = []
+
+        def objective(x):
+            calls.append(1)
+            return bad if len(calls) == at + 1 else float(x[0])
+
+        with pytest.raises(ObjectiveFailureError) as info:
+            run_bo(quick_config(init_count=4, iterations=2), objective)
+        assert info.value.index == at
+
     def test_history_length_budget(self):
         config = quick_config(init_count=1, iterations=1)
         result = run_bo(config, lambda x: float(x[0]))

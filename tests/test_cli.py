@@ -152,9 +152,35 @@ class TestCompare:
         assert reports[0] == reports[1]
 
 
+    def test_method_failing_on_every_seed_reports_cause(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "short.yaml", {
+            "objective": {"name": "sphere", "dims": 1, "negate": True},
+            "bo": {"init_count": 5},
+            "experiment": {"methods": [{"kind": "pso_bo"}, {"kind": "random_search"}],
+                           "seeds": [0, 1], "budget": 5},
+        })
+        out = str(tmp_path / "o")
+        assert main(["compare", "--config", cfg, "--output-dir", out]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "budget must exceed the initial-design size" in err
+        assert "empty sequence" not in err
+
+    def test_grid_over_cap_reports_cause(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "grid.yaml", {
+            "objective": {"name": "styblinski_tang", "dims": 7, "negate": True},
+            "experiment": {"methods": [{"kind": "grid_search"}, {"kind": "random_search"}],
+                           "seeds": [0, 1], "budget": 8},
+        })
+        out = str(tmp_path / "o")
+        assert main(["compare", "--config", cfg, "--output-dir", out]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "grid of 10000000 points exceeds cap" in err
+        assert "empty sequence" not in err
+
+
 class TestSweep:
-    def _config(self, tmp_path, omegas, **sweep_extra):
-        sweep = {"omegas": omegas, "seeds": [0, 1], "budget": 8}
+    def _config(self, tmp_path, omegas, seeds=(0, 1), **sweep_extra):
+        sweep = {"omegas": omegas, "seeds": list(seeds), "budget": 8}
         sweep.update(sweep_extra)
         return write_config(tmp_path / "sweep.yaml", {
             "objective": {"name": "sphere", "dims": 1, "negate": True},
@@ -177,3 +203,19 @@ class TestSweep:
         cfg = self._config(tmp_path, [-1.0])
         assert main(["sweep", "--config", cfg]) == EXIT_CONFIG
         assert "-1" in capsys.readouterr().err
+
+    def test_one_seed(self, tmp_path):
+        cfg = self._config(tmp_path, [0.5, 0.9], seeds=[3])
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", cfg, "--output-dir", str(out)]) == EXIT_OK
+        assert len((out / "sweep.csv").read_text().strip().splitlines()) == 3
+
+    def test_results_independent_of_jobs(self, tmp_path):
+        cfg = self._config(tmp_path, [0.3, 0.6, 0.9])
+        outputs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"j{jobs}"
+            assert main(["sweep", "--config", cfg, "--output-dir", str(out),
+                         "--jobs", jobs]) == EXIT_OK
+            outputs.append((out / "sweep.csv").read_bytes())
+        assert outputs[0] == outputs[1]

@@ -93,6 +93,14 @@ class TestGramMatrix:
 
 
 class TestFitAndPredict:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_targets_rejected(self, bad):
+        # a ValueError from the solve, not a jitter failure
+        params = KernelParams(theta0=1.0, lengthscales=[0.5], noise_var=0.0)
+        with pytest.raises(ValueError):
+            fit_model(unit_box(), [[0.2], [0.7]], [1.0, bad], params)
+
     def test_single_point_interpolation(self):
         space = unit_box()
         params = KernelParams(theta0=1.0, lengthscales=[0.5], noise_var=0.0)
