@@ -12,12 +12,11 @@ import itertools
 import json
 import logging
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .acquisition import AcquisitionSpec
-from .boloop import BoConfig, BoResult, component_rng, run_bo
+from .boloop import BoConfig, BoResult, ObjectiveFailureError, component_rng, run_bo
 from .pso import PsoParams, StabilityError, check_stability
 from .space import (
     Dimension,
@@ -158,7 +157,7 @@ def make_objective(spec: ObjectiveSpec, seed: int):
 @dataclass(frozen=True)
 class MethodSpec:
     kind: str
-    pso: PsoParams | None = None  # PSO_BO only; None -> shared defaults
+    pso: PsoParams | None = None  # PSO_BO only; None -> the config's pso
     restarts: int = 10  # LOCAL_BO
     max_steps: int = 200  # LOCAL_BO
     points_per_dim: int = 10  # GRID_SEARCH
@@ -226,12 +225,17 @@ def run_local_bo(config: BoConfig, objective, restarts: int = 10,
 
 
 def _scan(space: SearchSpace, objective, points):
-    """Evaluate each point, materialized, in order; returns (best_point, best_value, trace)."""
+    """Evaluate each point, materialized, in order; returns (best_point, best_value, trace).
+
+    A non-finite value raises ObjectiveFailureError, as in the BO loop.
+    """
     best_x, best_v = None, -np.inf
     trace = []
-    for x in points:
+    for i, x in enumerate(points):
         x = materialize(space, x)
         v = float(objective(x))
+        if not np.isfinite(v):
+            raise ObjectiveFailureError(i, f"non-finite value {v}")
         if v > best_v:
             best_x, best_v = x, v
         trace.append(best_v)
@@ -327,25 +331,17 @@ class _CountingObjective:
 
 
 def run_method_cell(method: MethodSpec, objective_spec: ObjectiveSpec,
-                    space: SearchSpace, seed: int, budget: int,
-                    acquisition: AcquisitionSpec = AcquisitionSpec(),
-                    pso: PsoParams = PsoParams(),
-                    init_count: int = 5,
-                    noise_var: float | None = None) -> CellResult:
-    """Run one (method, seed) cell with exactly `budget` objective evaluations."""
+                    config: BoConfig, seed: int, budget: int) -> CellResult:
+    """Run one (method, seed) cell with exactly `budget` objective evaluations.
+
+    `config` is the template of the BO settings: a BO cell runs it with its own
+    `seed` and `iterations = budget - init_count`, and with `method.pso` if set.
+    The baselines use only its space.
+    """
     objective = _CountingObjective(make_objective(objective_spec, seed))
     if method.kind in (PSO_BO, LOCAL_BO):
-        if budget <= init_count:
-            raise ValueError("budget must exceed the initial-design size")
-        config = BoConfig(
-            space=space,
-            acquisition=acquisition,
-            pso=method.pso or pso,
-            init_count=init_count,
-            iterations=budget - init_count,
-            seed=seed,
-            noise_var=noise_var,
-        )
+        config = replace(config, pso=method.pso or config.pso,
+                         iterations=budget - config.init_count, seed=seed)
         if method.kind == PSO_BO:
             result = run_bo(config, objective)
         else:
@@ -353,6 +349,7 @@ def run_method_cell(method: MethodSpec, objective_spec: ObjectiveSpec,
                                   restarts=method.restarts, max_steps=method.max_steps)
         return CellResult(result.best_point, result.best_value,
                           result.incumbent_trace, objective.count)
+    space = config.space
     if method.kind == RANDOM_SEARCH:
         x, v, trace = run_random_search(space, objective, budget,
                                         component_rng(seed, "random_search"))
@@ -368,8 +365,8 @@ def run_method_cell(method: MethodSpec, objective_spec: ObjectiveSpec,
 
 
 def _run_cells(methods: list[MethodSpec], seeds: list[int],
-               objective_spec: ObjectiveSpec, space: SearchSpace | None, budget: int,
-               executor=None, **options) -> dict:
+               objective_spec: ObjectiveSpec, config: BoConfig, budget: int,
+               executor=None) -> dict:
     """Map each (method, seed) cell to its CellResult or to the exception it raised.
 
     A failed cell is logged and isolated from the others; a method that fails
@@ -377,14 +374,14 @@ def _run_cells(methods: list[MethodSpec], seeds: list[int],
     """
     if not seeds:
         raise ValueError("need at least one seed")
-    if space is None:
-        space = default_space(objective_spec)
+    if budget <= config.init_count and any(m.kind in (PSO_BO, LOCAL_BO) for m in methods):
+        raise ValueError("budget must exceed the initial-design size")
     cells = [(m, s) for m in methods for s in seeds]
 
     def run_cell(cell):
         method, seed = cell
         try:
-            return run_method_cell(method, objective_spec, space, seed, budget, **options)
+            return run_method_cell(method, objective_spec, config, seed, budget)
         except Exception as exc:
             log.warning("cell (%s, seed=%d) failed: %s", method.kind, seed, exc)
             return exc
@@ -399,27 +396,25 @@ def _run_cells(methods: list[MethodSpec], seeds: list[int],
 
 
 def run_experiment(methods: list[MethodSpec], objective_spec: ObjectiveSpec,
-                   seeds: list[int], budget: int,
-                   space: SearchSpace | None = None,
-                   acquisition: AcquisitionSpec = AcquisitionSpec(),
-                   pso: PsoParams = PsoParams(),
-                   init_count: int = 5,
-                   noise_var: float | None = None,
+                   seeds: list[int], budget: int, config: BoConfig | None = None,
                    executor=None) -> ExperimentReport:
     """Run every method on every seed with identical budgets and aggregate.
 
-    A failed (method, seed) cell is recorded as missing with a warning, never
-    silently averaged; a method that fails on every seed raises its first
-    error. `executor`, if given, must provide a map() over the independent
-    cells (results are order-independent by construction).
+    `config` holds the shared BO settings (default: the defaults over the
+    objective's canonical space); each cell sets its `seed`, and its
+    `iterations` to `budget - init_count`. A failed (method, seed) cell is
+    recorded as missing with a warning, never silently averaged; a method that
+    fails on every seed raises its first error. `executor`, if given, must
+    provide a map() over the independent cells (results are order-independent
+    by construction).
     """
     if not methods:
         raise ValueError("need at least one method")
     if len(seeds) < 2:
         raise ValueError("need at least two seeds")
-    results = _run_cells(methods, seeds, objective_spec, space, budget, executor=executor,
-                         acquisition=acquisition, pso=pso, init_count=init_count,
-                         noise_var=noise_var)
+    if config is None:
+        config = BoConfig(space=default_space(objective_spec))
+    results = _run_cells(methods, seeds, objective_spec, config, budget, executor=executor)
 
     reports = []
     for method in methods:
@@ -442,24 +437,23 @@ def run_experiment(methods: list[MethodSpec], objective_spec: ObjectiveSpec,
 
 
 def omega_sweep(objective_spec: ObjectiveSpec, omegas: list[float],
-                seeds: list[int], budget: int,
-                c1: float = 1.85, c2: float = 2.0,
-                space: SearchSpace | None = None,
-                acquisition: AcquisitionSpec = AcquisitionSpec(),
-                init_count: int = 5,
+                seeds: list[int], budget: int, config: BoConfig | None = None,
                 executor=None) -> list[tuple[float, float]]:
     """Mean final best of PSO-BO per inertia weight; all omegas validated upfront.
 
-    Any failed cell fails the sweep. `executor` is as for run_experiment.
+    Each row runs `config.pso` with its own omega; `config`, its default, and
+    the per-cell `seed` and `iterations` are as for run_experiment. Any failed
+    cell fails the sweep. `executor` is as for run_experiment.
     """
-    methods = [MethodSpec(PSO_BO, pso=PsoParams(omega=omega, c1=c1, c2=c2)) for omega in omegas]
+    if config is None:
+        config = BoConfig(space=default_space(objective_spec))
+    methods = [MethodSpec(PSO_BO, pso=replace(config.pso, omega=omega)) for omega in omegas]
     for m in methods:
         try:
             check_stability(m.pso)
         except StabilityError as exc:
             raise StabilityViolationError(m.pso.omega) from exc
-    results = _run_cells(methods, seeds, objective_spec, space, budget, executor=executor,
-                         acquisition=acquisition, init_count=init_count)
+    results = _run_cells(methods, seeds, objective_spec, config, budget, executor=executor)
     for res in results.values():
         if isinstance(res, Exception):
             raise res

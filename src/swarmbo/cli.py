@@ -52,7 +52,7 @@ _SECTION_KEYS = {
     "gp": {"log_theta0", "log_lengthscale", "log_noise"},
     "bo": {"init_count", "iterations", "noise_var"},
     "experiment": {"methods", "seeds", "budget"},
-    "sweep": {"omegas", "seeds", "budget", "c1", "c2"},
+    "sweep": {"omegas", "seeds", "budget"},
 }
 _SPACE_DIM_KEYS = {"name", "type", "lower", "upper"}
 _METHOD_KEYS = {"kind", "restarts", "max_steps", "points_per_dim", "pso"}
@@ -101,28 +101,27 @@ def _parse_space(entries) -> SearchSpace:
     return space
 
 
-def _space_or(raw, default: SearchSpace | None) -> SearchSpace | None:
-    """The config's `space` section if present, else `default`."""
-    return _parse_space(raw["space"]) if raw.get("space") else default
-
-
 def _parse_objective(raw) -> bench.ObjectiveSpec:
     if "objective" not in raw or not raw["objective"]:
         raise ConfigError("config: missing required section 'objective'")
     return bench.ObjectiveSpec(**raw["objective"])
 
 
-def _parse_acquisition(raw) -> AcquisitionSpec:
-    return AcquisitionSpec(**raw.get("acquisition", {}) or {})
-
-
-def _parse_pso(raw) -> PsoParams:
-    return PsoParams(**raw.get("pso", {}) or {})
-
-
-def _parse_gp_bounds(raw) -> FitBounds:
-    section = raw.get("gp", {}) or {}
-    return FitBounds(**{k: tuple(v) for k, v in section.items()})
+def _parse_bo_config(raw, objective_spec: bench.ObjectiveSpec, seed: int = 0) -> BoConfig:
+    """The BO settings every subcommand shares: the space, acquisition, pso, gp
+    and bo sections (`space` defaults to the objective's canonical bounds)."""
+    bo = raw.get("bo") or {}
+    space = raw.get("space")
+    return BoConfig(
+        space=_parse_space(space) if space else bench.default_space(objective_spec),
+        acquisition=AcquisitionSpec(**raw.get("acquisition") or {}),
+        pso=PsoParams(**raw.get("pso") or {}),
+        init_count=int(bo.get("init_count", 5)),
+        iterations=int(bo.get("iterations", 30)),
+        seed=seed,
+        noise_var=bo.get("noise_var"),
+        gp_bounds=FitBounds(**{k: tuple(v) for k, v in (raw.get("gp") or {}).items()}),
+    )
 
 
 def _parse_methods(entries) -> list[bench.MethodSpec]:
@@ -175,19 +174,8 @@ def _executor(jobs):
 def cmd_run(args) -> int:
     raw = load_config(args.config)
     objective_spec = _parse_objective(raw)
-    space = _space_or(raw, bench.default_space(objective_spec))
-    bo_section = raw.get("bo", {}) or {}
     seed = resolve_seed(args, raw)
-    config = BoConfig(
-        space=space,
-        acquisition=_parse_acquisition(raw),
-        pso=_parse_pso(raw),
-        init_count=int(bo_section.get("init_count", 5)),
-        iterations=int(bo_section.get("iterations", 30)),
-        seed=seed,
-        noise_var=bo_section.get("noise_var"),
-        gp_bounds=_parse_gp_bounds(raw),
-    )
+    config = _parse_bo_config(raw, objective_spec, seed)
     result = run_bo(config, bench.make_objective(objective_spec, seed))
 
     out = _output_dir(args, raw)
@@ -231,19 +219,11 @@ def cmd_compare(args) -> int:
     if not isinstance(seeds, list) or len(seeds) < 2:
         raise ConfigError("experiment.seeds: need at least two seeds")
     budget = int(section.get("budget", 35))
-    space = _space_or(raw, None)
-    bo_section = raw.get("bo", {}) or {}
+    config = _parse_bo_config(raw, objective_spec)
 
     with _executor(args.jobs) as executor:
-        report = bench.run_experiment(
-            methods, objective_spec, [int(s) for s in seeds], budget,
-            space=space,
-            acquisition=_parse_acquisition(raw),
-            pso=_parse_pso(raw),
-            init_count=int(bo_section.get("init_count", 5)),
-            noise_var=bo_section.get("noise_var"),
-            executor=executor,
-        )
+        report = bench.run_experiment(methods, objective_spec, [int(s) for s in seeds],
+                                      budget, config=config, executor=executor)
 
     out = _output_dir(args, raw)
     bench.write_report_json(report, out / "report.json")
@@ -263,14 +243,10 @@ def cmd_sweep(args) -> int:
               [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9])]
     seeds = [int(s) for s in section.get("seeds", [0, 1])]
     budget = int(section.get("budget", 35))
-    space = _space_or(raw, None)
+    config = _parse_bo_config(raw, objective_spec)
     with _executor(args.jobs) as executor:
-        rows = bench.omega_sweep(
-            objective_spec, omegas, seeds, budget,
-            c1=float(section.get("c1", 1.85)), c2=float(section.get("c2", 2.0)),
-            space=space, acquisition=_parse_acquisition(raw),
-            executor=executor,
-        )
+        rows = bench.omega_sweep(objective_spec, omegas, seeds, budget,
+                                 config=config, executor=executor)
 
     out = _output_dir(args, raw)
     with open(out / "sweep.csv", "w", encoding="utf-8", newline="") as fh:

@@ -3,6 +3,7 @@ import pytest
 
 from swarmbo import bench
 from swarmbo.bench import (
+    GRID_SEARCH,
     GridTooLargeError,
     InvalidMethodParamsError,
     LOCAL_BO,
@@ -148,7 +149,7 @@ class TestRunExperiment:
         space = SearchSpace([Dimension("n", INTEGER, -0.4, 0.4)])
         spec = ObjectiveSpec("sphere", dims=1, negate=True)
         report = run_experiment([MethodSpec(RANDOM_SEARCH)], spec, [1, 2], budget=3,
-                                space=space)
+                                config=BoConfig(space=space))
         m = report.methods[0]
         assert m.max == m.min == m.ave == 0.0
 
@@ -189,11 +190,38 @@ class TestRunExperiment:
         assert pso.missing_seeds == [1]
         assert list(pso.per_seed_best) == [0]
 
-    def test_method_failing_on_every_seed_reraises(self):
+    def test_non_finite_baseline_cell_is_missing(self, monkeypatch):
         spec = ObjectiveSpec("sphere", dims=1, negate=True)
+        real = bench.make_objective
+
+        def make(spec, seed):
+            fn = real(spec, seed)
+            if seed != 1:
+                return fn
+            calls = []
+            return lambda x: calls.append(1) or (float("nan") if len(calls) == 3 else fn(x))
+
+        monkeypatch.setattr(bench, "make_objective", make)
+        report = run_experiment([MethodSpec(RANDOM_SEARCH), MethodSpec(GRID_SEARCH)], spec,
+                                [0, 1], budget=6)
+        for m in report.methods:
+            assert m.missing_seeds == [1]
+            assert list(m.per_seed_best) == [0]
+
+    def test_baseline_failure_names_the_evaluation(self):
+        space = SearchSpace([Dimension("a", REAL, 0, 1)])
+        with pytest.raises(ObjectiveFailureError) as info:
+            run_grid_search(space, lambda x: float("nan") if x[0] == 0.5 else 0.0, 3)
+        assert info.value.index == 1
+
+    def test_method_failing_on_every_seed_reraises(self, monkeypatch):
+        spec = ObjectiveSpec("sphere", dims=1, negate=True)
+        made = []
+        monkeypatch.setattr(bench, "make_objective", lambda *args: made.append(args))
         with pytest.raises(ValueError, match="initial-design size"):
             run_experiment([MethodSpec(PSO_BO), MethodSpec(RANDOM_SEARCH)], spec, [0, 1],
-                           budget=5, init_count=5)
+                           budget=5, config=BoConfig(space=default_space(spec), init_count=5))
+        assert made == []  # checked before any cell runs
 
     def test_needs_two_seeds(self):
         spec = ObjectiveSpec("sphere", dims=1, negate=True)

@@ -3,8 +3,22 @@ import json
 import pytest
 import yaml
 
-from swarmbo.bench import read_report_csv
+from swarmbo.bench import (
+    MethodSpec,
+    ObjectiveSpec,
+    PSO_BO,
+    RANDOM_SEARCH,
+    default_space,
+    omega_sweep,
+    read_report_csv,
+    run_experiment,
+)
+from swarmbo.boloop import BoConfig
 from swarmbo.cli import EXIT_CONFIG, EXIT_OK, main
+from swarmbo.gp import FitBounds
+from swarmbo.pso import PsoParams
+
+SPHERE_1D = {"name": "sphere", "dims": 1, "negate": True}
 
 
 def write_config(path, data):
@@ -165,6 +179,26 @@ class TestCompare:
         assert "budget must exceed the initial-design size" in err
         assert "empty sequence" not in err
 
+    def test_gp_section_takes_effect(self, tmp_path):
+        spec = ObjectiveSpec(**SPHERE_1D)
+        experiment = {"methods": [{"kind": "pso_bo"}, {"kind": "random_search"}],
+                      "seeds": [0, 1], "budget": 8}
+        bests = []
+        for name, extra in [("gp", {"gp": {"log_lengthscale": [1.5, 2.0]}}), ("default", {})]:
+            cfg = write_config(tmp_path / f"{name}.yaml",
+                               {"objective": SPHERE_1D, "experiment": experiment, **extra})
+            out = tmp_path / name
+            assert main(["compare", "--config", cfg, "--output-dir", str(out)]) == EXIT_OK
+            with open(out / "report.json", encoding="utf-8") as fh:
+                bests.append([m["per_seed_best"] for m in json.load(fh)["methods"]])
+        config = BoConfig(space=default_space(spec),
+                          gp_bounds=FitBounds(log_lengthscale=(1.5, 2.0)))
+        report = run_experiment([MethodSpec(PSO_BO), MethodSpec(RANDOM_SEARCH)], spec,
+                                [0, 1], budget=8, config=config)
+        assert bests[0] == [{str(s): v for s, v in m.per_seed_best.items()}
+                            for m in report.methods]
+        assert bests[0][0] != bests[1][0]
+
     def test_grid_over_cap_reports_cause(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "grid.yaml", {
             "objective": {"name": "styblinski_tang", "dims": 7, "negate": True},
@@ -179,13 +213,34 @@ class TestCompare:
 
 
 class TestSweep:
-    def _config(self, tmp_path, omegas, seeds=(0, 1), **sweep_extra):
-        sweep = {"omegas": omegas, "seeds": list(seeds), "budget": 8}
-        sweep.update(sweep_extra)
-        return write_config(tmp_path / "sweep.yaml", {
-            "objective": {"name": "sphere", "dims": 1, "negate": True},
-            "sweep": sweep,
-        })
+    def _config(self, tmp_path, omegas, seeds=(0, 1), name="sweep", sweep_extra=(), **sections):
+        sweep = {"omegas": omegas, "seeds": list(seeds), "budget": 8, **dict(sweep_extra)}
+        return write_config(tmp_path / f"{name}.yaml",
+                            {"objective": SPHERE_1D, "sweep": sweep, **sections})
+
+    def _rows(self, cfg, out):
+        assert main(["sweep", "--config", cfg, "--output-dir", str(out)]) == EXIT_OK
+        lines = (out / "sweep.csv").read_text().strip().splitlines()[1:]
+        return [tuple(float(v) for v in line.split(",")) for line in lines]
+
+    def test_shared_sections_take_effect(self, tmp_path):
+        omegas = [0.5, 0.9]
+        cfg = self._config(tmp_path, omegas, pso={"population": 6, "max_iters": 3},
+                           bo={"init_count": 3}, gp={"log_lengthscale": [1.5, 2.0]})
+        rows = self._rows(cfg, tmp_path / "sections")
+        spec = ObjectiveSpec(**SPHERE_1D)
+        config = BoConfig(space=default_space(spec), pso=PsoParams(population=6, max_iters=3),
+                          init_count=3, gp_bounds=FitBounds(log_lengthscale=(1.5, 2.0)))
+        assert rows == omega_sweep(spec, omegas, [0, 1], 8, config=config)
+        default = self._rows(self._config(tmp_path, omegas, name="default"), tmp_path / "default")
+        assert rows != default
+
+    def test_c1_c2_come_from_pso_section(self, tmp_path, capsys):
+        cfg = self._config(tmp_path, [0.5], sweep_extra={"c1": 1.5})
+        assert main(["sweep", "--config", cfg]) == EXIT_CONFIG
+        assert "unknown key(s) ['c1']" in capsys.readouterr().err
+        cfg = self._config(tmp_path, [0.5], name="pso", pso={"c1": 2.5, "c2": 3.5})
+        assert main(["sweep", "--config", cfg]) == EXIT_CONFIG  # 6 >= 4(1 + 0.5)
 
     def test_default_nine_rows(self, tmp_path):
         cfg = self._config(tmp_path, [round(0.1 * k, 1) for k in range(1, 10)])
