@@ -47,26 +47,26 @@ def ucb(post: Posterior, gamma: float):
     return post.mean + gamma * np.sqrt(post.var)
 
 
+def _gap_z(post: Posterior, incumbent: float, xi: float):
+    """(sigma, gap, z): the gap mu - incumbent - xi and z = gap/sigma, 0 where sigma is 0."""
+    sigma = np.sqrt(np.asarray(post.var, dtype=float))
+    gap = np.asarray(post.mean, dtype=float) - incumbent - xi
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return sigma, gap, np.where(sigma > 0, gap / np.where(sigma > 0, sigma, 1.0), 0.0)
+
+
 def ei(post: Posterior, incumbent: float, xi: float = 0.0):
     """Expected improvement over the incumbent, with margin xi."""
-    mu = np.asarray(post.mean, dtype=float)
-    sigma = np.sqrt(np.asarray(post.var, dtype=float))
-    gap = mu - incumbent - xi
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z = np.where(sigma > 0, gap / np.where(sigma > 0, sigma, 1.0), 0.0)
-        val = np.where(sigma > 0, gap * _norm_cdf(z) + sigma * _norm_pdf(z), np.maximum(gap, 0.0))
+    sigma, gap, z = _gap_z(post, incumbent, xi)
+    val = np.where(sigma > 0, gap * _norm_cdf(z) + sigma * _norm_pdf(z), np.maximum(gap, 0.0))
     val = np.maximum(val, 0.0)
     return float(val) if val.ndim == 0 else val
 
 
 def pi(post: Posterior, incumbent: float, xi: float = 0.0):
     """Probability of improving on the incumbent by at least xi."""
-    mu = np.asarray(post.mean, dtype=float)
-    sigma = np.sqrt(np.asarray(post.var, dtype=float))
-    gap = mu - incumbent - xi
-    with np.errstate(divide="ignore", invalid="ignore"):
-        val = np.where(sigma > 0, _norm_cdf(np.where(sigma > 0, gap / np.where(sigma > 0, sigma, 1.0), 0.0)),
-                       (gap > 0).astype(float))
+    sigma, gap, z = _gap_z(post, incumbent, xi)
+    val = np.where(sigma > 0, _norm_cdf(z), (gap > 0).astype(float))
     return float(val) if val.ndim == 0 else val
 
 

@@ -410,6 +410,9 @@ def run_experiment(methods: list[MethodSpec], objective_spec: ObjectiveSpec,
     """
     if not methods:
         raise ValueError("need at least one method")
+    for i, m in enumerate(methods):
+        if m.kind in [n.kind for n in methods[:i]]:
+            raise ValueError(f"method kind {m.kind!r} is listed twice (outputs are named by kind)")
     if len(seeds) < 2:
         raise ValueError("need at least two seeds")
     if config is None:

@@ -19,6 +19,7 @@ import os
 import socket
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -45,17 +46,16 @@ class ConfigError(Exception):
 _TOP_KEYS = {"objective", "space", "acquisition", "pso", "gp", "bo",
              "experiment", "sweep", "seed", "output_dir"}
 _SECTION_KEYS = {
-    "objective": {"name", "dims", "noise_std", "negate"},
-    "acquisition": {"kind", "gamma", "xi"},
-    "pso": {"omega", "c1", "c2", "population", "max_iters", "vmax_fraction",
-            "tol", "patience"},
-    "gp": {"log_theta0", "log_lengthscale", "log_noise"},
+    "objective": {f.name for f in fields(bench.ObjectiveSpec)},
+    "acquisition": {"kind", "gamma", "xi"},  # AcquisitionSpec's `incumbent` is loop state
+    "pso": {f.name for f in fields(PsoParams)},
+    "gp": {f.name for f in fields(FitBounds)},
     "bo": {"init_count", "iterations", "noise_var"},
     "experiment": {"methods", "seeds", "budget"},
     "sweep": {"omegas", "seeds", "budget"},
 }
 _SPACE_DIM_KEYS = {"name", "type", "lower", "upper"}
-_METHOD_KEYS = {"kind", "restarts", "max_steps", "points_per_dim", "pso"}
+_METHOD_KEYS = {f.name for f in fields(bench.MethodSpec)}
 
 
 def _check_keys(mapping, allowed, where):

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
-from scipy.spatial.distance import cdist
 
 from .pso import PsoParams, run_pso
 from .space import Dimension, REAL, SearchSpace
@@ -63,10 +62,6 @@ class KernelParams:
             raise InvalidParamsError("noise_var must be non-negative")
 
 
-def _scaled_sq_dist(A: np.ndarray, B: np.ndarray, lengthscales: np.ndarray) -> np.ndarray:
-    return cdist(A / lengthscales, B / lengthscales, metric="sqeuclidean")
-
-
 def matern52(a: np.ndarray, b: np.ndarray, params: KernelParams) -> float:
     """Matern-5/2 covariance with ARD squared distance sum((a_j-b_j)^2 / l_j^2)."""
     a = np.atleast_1d(np.asarray(a, dtype=float))
@@ -77,7 +72,9 @@ def matern52(a: np.ndarray, b: np.ndarray, params: KernelParams) -> float:
 
 
 def _kernel_matrix(A: np.ndarray, B: np.ndarray, params: KernelParams) -> np.ndarray:
-    r2 = _scaled_sq_dist(A, B, params.lengthscales)
+    # summed over dimensions in order: bit-identical to cdist's sqeuclidean at any dimension
+    columns = zip((A / params.lengthscales).T, (B / params.lengthscales).T)
+    r2 = sum((a[:, None] - b[None, :]) ** 2 for a, b in columns)
     sr5 = np.sqrt(5.0 * r2)
     return params.theta0 * (1.0 + sr5 + (5.0 / 3.0) * r2) * np.exp(-sr5)
 
@@ -85,9 +82,7 @@ def _kernel_matrix(A: np.ndarray, B: np.ndarray, params: KernelParams) -> np.nda
 def gram_matrix(xs: np.ndarray, params: KernelParams) -> np.ndarray:
     """Symmetric kernel matrix K_ij = k(x_i, x_j) with theta0 on the diagonal."""
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    K = _kernel_matrix(xs, xs, params)
-    # enforce exact symmetry against floating-point asymmetry in cdist
-    return 0.5 * (K + K.T)
+    return _kernel_matrix(xs, xs, params)
 
 
 @dataclass(frozen=True)
@@ -117,8 +112,8 @@ def _normalize(space: SearchSpace, x: np.ndarray) -> np.ndarray:
     return (np.asarray(x, dtype=float) - space.lower) / space.ranges
 
 
-def fit_model(space: SearchSpace, xs, ys, params: KernelParams) -> GpModel:
-    """Factorize K + noise*I (plus escalating jitter) and precompute alpha."""
+def _standardize(space: SearchSpace, xs, ys):
+    """Checked training data: (X in the unit cube, standardized y, y_mean, y_std)."""
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     ys = np.asarray(ys, dtype=float).ravel()
     if xs.shape[0] != ys.shape[0]:
@@ -130,25 +125,35 @@ def fit_model(space: SearchSpace, xs, ys, params: KernelParams) -> GpModel:
     y_std = float(np.std(ys))
     if y_std <= 0.0 or not np.isfinite(y_std):
         y_std = 1.0
-    y = (ys - y_mean) / y_std
+    return _normalize(space, xs), (ys - y_mean) / y_std, y_mean, y_std
 
-    X = _normalize(space, xs)
+
+def _factorize(X: np.ndarray, y: np.ndarray, params: KernelParams):
+    """(L, alpha, jitter) with L L^T = K + (noise + jitter)*I and alpha = (L L^T)^-1 y."""
     K = gram_matrix(X, params) + params.noise_var * np.eye(len(y))
-
     jitter = JITTER_START * params.theta0
     last_exc = None
     while jitter <= JITTER_MAX * params.theta0 * (1 + 1e-12):
         try:
             L = cholesky(K + jitter * np.eye(len(y)), lower=True)
-            alpha = cho_solve((L, True), y)
-            return GpModel(
-                space=space, train_x=X, train_y=y, params=params,
-                chol=L, alpha=alpha, jitter=jitter, y_mean=y_mean, y_std=y_std,
-            )
+            return L, cho_solve((L, True), y), jitter
         except np.linalg.LinAlgError as exc:
             last_exc = exc
         jitter *= 10.0
     raise FactorizationFailureError(f"Cholesky failed up to jitter {jitter:g}") from last_exc
+
+
+def _lml(y: np.ndarray, L: np.ndarray, alpha: np.ndarray) -> float:
+    """Zero-mean Gaussian log marginal likelihood of y given its factorization."""
+    return float(-0.5 * y @ alpha - np.sum(np.log(np.diag(L))) - 0.5 * len(y) * np.log(2.0 * np.pi))
+
+
+def fit_model(space: SearchSpace, xs, ys, params: KernelParams) -> GpModel:
+    """Factorize K + noise*I (plus escalating jitter) and precompute alpha."""
+    X, y, y_mean, y_std = _standardize(space, xs, ys)
+    L, alpha, jitter = _factorize(X, y, params)
+    return GpModel(space=space, train_x=X, train_y=y, params=params,
+                   chol=L, alpha=alpha, jitter=jitter, y_mean=y_mean, y_std=y_std)
 
 
 def predict(model: GpModel, x) -> Posterior:
@@ -170,11 +175,7 @@ def predict(model: GpModel, x) -> Posterior:
 
 def log_marginal_likelihood(model: GpModel) -> float:
     """Zero-mean Gaussian log marginal likelihood in standardized-target space."""
-    t = model.n_train
-    logdet = 2.0 * float(np.sum(np.log(np.diag(model.chol))))
-    return float(
-        -0.5 * model.train_y @ model.alpha - 0.5 * logdet - 0.5 * t * np.log(2.0 * np.pi)
-    )
+    return _lml(model.train_y, model.chol, model.alpha)
 
 
 def fallback_params(dim: int, noise_var: float | None = None) -> KernelParams:
@@ -187,22 +188,15 @@ def fallback_params(dim: int, noise_var: float | None = None) -> KernelParams:
 _FIT_PSO = PsoParams(population=16, max_iters=40, patience=8)
 
 
-def fit_hyperparams(
-    space: SearchSpace,
-    xs,
-    ys,
-    rng: np.random.Generator,
-    bounds: FitBounds = FitBounds(),
-    noise_var: float | None = None,
-    pso_params: PsoParams = _FIT_PSO,
-) -> KernelParams:
+def fit_hyperparams(space: SearchSpace, xs, ys, rng: np.random.Generator,
+                    bounds: FitBounds = FitBounds(), noise_var: float | None = None) -> KernelParams:
     """Maximize the log marginal likelihood over log10 kernel hyperparameters.
 
     `noise_var`, if given, pins the noise variance instead of fitting it.
     """
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    d = xs.shape[1]
-    if xs.shape[0] < 2:
+    X, y, _, _ = _standardize(space, xs, ys)
+    d = X.shape[1]
+    if len(y) < 2:
         raise InvalidParamsError("need at least two observations to fit hyperparameters")
 
     dims = [Dimension("log_theta0", REAL, *bounds.log_theta0)]
@@ -220,11 +214,12 @@ def fit_hyperparams(
 
     def lml(z: np.ndarray) -> float:
         try:
-            return log_marginal_likelihood(fit_model(space, xs, ys, unpack(z)))
+            L, alpha, _ = _factorize(X, y, unpack(z))
         except FactorizationFailureError:
             return -np.inf
+        return _lml(y, L, alpha)
 
-    result = run_pso(hyper_space, pso_params, lambda Z: np.array([lml(z) for z in Z]), rng)
+    result = run_pso(hyper_space, _FIT_PSO, lambda Z: np.array([lml(z) for z in Z]), rng)
     if not np.isfinite(result.best_fitness):
         # every candidate failed to factorize
         return fallback_params(d, noise_var)

@@ -223,6 +223,15 @@ class TestRunExperiment:
                            budget=5, config=BoConfig(space=default_space(spec), init_count=5))
         assert made == []  # checked before any cell runs
 
+    def test_duplicate_method_kind_rejected(self, monkeypatch):
+        spec = ObjectiveSpec("sphere", dims=1, negate=True)
+        made = []
+        monkeypatch.setattr(bench, "make_objective", lambda *args: made.append(args))
+        methods = [MethodSpec(LOCAL_BO), MethodSpec(RANDOM_SEARCH), MethodSpec(LOCAL_BO, restarts=2)]
+        with pytest.raises(ValueError, match="'local_bo' is listed twice"):
+            run_experiment(methods, spec, [0, 1], budget=8)
+        assert made == []  # checked before any cell runs
+
     def test_needs_two_seeds(self):
         spec = ObjectiveSpec("sphere", dims=1, negate=True)
         with pytest.raises(ValueError):

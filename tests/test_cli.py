@@ -1,9 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 import yaml
 
+import swarmbo
 from swarmbo.bench import (
+    LOCAL_BO,
     MethodSpec,
     ObjectiveSpec,
     PSO_BO,
@@ -14,7 +21,7 @@ from swarmbo.bench import (
     run_experiment,
 )
 from swarmbo.boloop import BoConfig
-from swarmbo.cli import EXIT_CONFIG, EXIT_OK, main
+from swarmbo.cli import EXIT_CONFIG, EXIT_OK, _parse_bo_config, _parse_methods, load_config, main
 from swarmbo.gp import FitBounds
 from swarmbo.pso import PsoParams
 
@@ -199,6 +206,18 @@ class TestCompare:
                             for m in report.methods]
         assert bests[0][0] != bests[1][0]
 
+    def test_duplicate_method_kind_writes_nothing(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "dup.yaml", {
+            "objective": SPHERE_1D,
+            "experiment": {"methods": [{"kind": "pso_bo"}, {"kind": "random_search"},
+                                       {"kind": "pso_bo", "pso": {"omega": 0.5}}],
+                           "seeds": [0, 1], "budget": 8},
+        })
+        out = tmp_path / "o"
+        assert main(["compare", "--config", cfg, "--output-dir", str(out)]) == EXIT_CONFIG
+        assert "'pso_bo' is listed twice" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_grid_over_cap_reports_cause(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "grid.yaml", {
             "objective": {"name": "styblinski_tang", "dims": 7, "negate": True},
@@ -274,3 +293,47 @@ class TestSweep:
                          "--jobs", jobs]) == EXIT_OK
             outputs.append((out / "sweep.csv").read_bytes())
         assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("section, name", [
+    (section, f.name)
+    for section, cls in [("objective", ObjectiveSpec), ("pso", PsoParams), ("gp", FitBounds)]
+    for f in fields(cls)
+])
+def test_every_section_field_is_a_config_key(tmp_path, section, name):
+    defaults = {"objective": ObjectiveSpec(**SPHERE_1D), "pso": PsoParams(), "gp": FitBounds()}
+    raw = {"objective": dict(SPHERE_1D)}
+    value = getattr(defaults[section], name)
+    raw.setdefault(section, {})[name] = list(value) if isinstance(value, tuple) else value
+    raw = load_config(write_config(tmp_path / "c.yaml", raw))
+    _parse_bo_config(raw, ObjectiveSpec(**raw["objective"]))
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(MethodSpec)])
+def test_every_method_field_is_a_method_key(name):
+    entry = {"kind": LOCAL_BO, name: getattr(MethodSpec(LOCAL_BO), name)}
+    assert _parse_methods([entry]) == [MethodSpec(LOCAL_BO)]
+
+
+@pytest.mark.parametrize("where", ["objective", "pso", "gp", "method"])
+def test_unknown_key_exits_2(tmp_path, capsys, where):
+    raw = {"objective": dict(SPHERE_1D),
+           "experiment": {"methods": [{"kind": "pso_bo"}, {"kind": "random_search"}],
+                          "seeds": [0, 1], "budget": 8}}
+    if where == "method":
+        raw["experiment"]["methods"][0]["bogus"] = 1
+    else:
+        raw.setdefault(where, {})["bogus"] = 1
+    cfg = write_config(tmp_path / "c.yaml", raw)
+    assert main(["compare", "--config", cfg, "--output-dir", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert "unknown key(s) ['bogus']" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_import_leaves_scipy_spatial_out():
+    src = str(Path(swarmbo.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, swarmbo.cli; print('scipy.spatial' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True, timeout=60)
+    assert result.stdout.strip() == "False"

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from swarmbo import gp
 from swarmbo.gp import (
     FactorizationFailureError,
     InvalidParamsError,
@@ -79,8 +80,20 @@ class TestGramMatrix:
         rng = np.random.default_rng(0)
         params = KernelParams(theta0=1.5, lengthscales=[0.4, 0.9], noise_var=0.0)
         K = gram_matrix(rng.random((5, 2)), params)
-        assert np.allclose(K, K.T)
+        assert np.array_equal(K, K.T)
         assert np.min(np.linalg.eigvalsh(K)) >= -1e-10 * params.theta0
+
+    @pytest.mark.parametrize("d", [2, 9])
+    def test_bit_identical_to_cdist_reference(self, d):
+        from scipy.spatial.distance import cdist
+
+        rng = np.random.default_rng(12)
+        params = KernelParams(theta0=1.3, lengthscales=rng.uniform(0.1, 2.0, d), noise_var=0.0)
+        xs = rng.random((7, d))
+        r2 = cdist(xs / params.lengthscales, xs / params.lengthscales, metric="sqeuclidean")
+        sr5 = np.sqrt(5.0 * r2)
+        expected = params.theta0 * (1.0 + sr5 + (5.0 / 3.0) * r2) * np.exp(-sr5)
+        assert np.array_equal(gram_matrix(xs, params), expected)
 
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(1)
@@ -281,3 +294,71 @@ class TestFitHyperparams:
         fitted = fit_hyperparams(space, rng.random((5, 1)), rng.normal(size=5),
                                  np.random.default_rng(2), noise_var=0.123)
         assert fitted.noise_var == 0.123
+
+
+class TestHyperparamScorer:
+    """The batch fitness fit_hyperparams hands to run_pso scores each row as
+    log_marginal_likelihood(fit_model(...)), bit for bit, and -inf where
+    fit_model raises FactorizationFailureError."""
+
+    @staticmethod
+    def scorer(monkeypatch, space, xs, ys, noise_var=None):
+        handed = []
+        real = gp.run_pso
+        monkeypatch.setattr(gp, "run_pso", lambda hyper_space, params, fitness, rng:
+                            handed.append(fitness) or real(hyper_space, params, fitness, rng))
+        fit_hyperparams(space, xs, ys, np.random.default_rng(0), noise_var=noise_var)
+        return handed[0]
+
+    @staticmethod
+    def reference(space, xs, ys, Z, noise_var=None):
+        d = space.dim
+        out = []
+        for z in Z:
+            params = KernelParams(theta0=10.0 ** z[0], lengthscales=10.0 ** z[1:1 + d],
+                                  noise_var=10.0 ** z[1 + d] if noise_var is None else noise_var)
+            try:
+                out.append(log_marginal_likelihood(fit_model(space, xs, ys, params)))
+            except FactorizationFailureError:
+                out.append(-np.inf)
+        return np.array(out)
+
+    def test_rows_equal_fit_model_lml(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        space = SearchSpace([Dimension("a", REAL, -5, 10), Dimension("b", REAL, 0, 15)])
+        xs = rng.uniform(space.lower, space.upper, size=(12, 2))
+        ys = rng.normal(size=12)
+        fitness = self.scorer(monkeypatch, space, xs, ys)
+        Z = rng.uniform([-3, -2, -2, -8], [3, 2, 2, 0], size=(32, 4))
+        assert np.array_equal(fitness(Z), self.reference(space, xs, ys, Z))
+
+    def test_rows_equal_fit_model_lml_through_jitter_and_failure(self, monkeypatch):
+        # a stand-in Cholesky for ill-conditioned data: it fails while the
+        # duplicated pair's diagonal exceeds their covariance by less than
+        # 5e-8 relative (zero noise escalates the jitter three decades) and
+        # always fails for theta0 above 100
+        real = gp.cholesky
+
+        def fragile(A, lower=False):
+            if A[0, 1] > 100.0 or A[0, 0] - A[0, 1] < 5e-8 * A[0, 1]:
+                raise np.linalg.LinAlgError("not positive definite")
+            return real(A, lower=lower)
+
+        monkeypatch.setattr(gp, "cholesky", fragile)
+        space = unit_box()
+        xs, ys = [[0.3], [0.3], [0.6], [0.9]], [1.0, 1.0, -1.0, 0.5]
+        params = KernelParams(theta0=1.0, lengthscales=[0.5], noise_var=0.0)
+        assert fit_model(space, xs, ys, params).jitter == pytest.approx(1e-7)
+        fitness = self.scorer(monkeypatch, space, xs, ys, noise_var=0.0)
+        Z = np.column_stack([np.linspace(-3, 3, 13), np.linspace(2, -2, 13)])
+        expected = self.reference(space, xs, ys, Z, noise_var=0.0)
+        assert np.isneginf(expected).sum() == 2 and np.isfinite(expected).sum() == 11
+        assert np.array_equal(fitness(Z), expected)
+
+    def test_no_fit_model_call(self, monkeypatch):
+        calls = []
+        real = gp.fit_model
+        monkeypatch.setattr(gp, "fit_model", lambda *args: calls.append(args) or real(*args))
+        fit_hyperparams(unit_box(), [[0.1], [0.5], [0.9]], [0.0, 1.0, 0.5],
+                        np.random.default_rng(0))
+        assert calls == []
