@@ -16,8 +16,8 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .boloop import BoConfig, BoResult, ObjectiveFailureError, component_rng, run_bo
-from .pso import PsoParams, StabilityError, check_stability
+from .boloop import BoConfig, BoResult, call_objective, component_rng, run_bo
+from .pso import PsoParams
 from .space import (
     Dimension,
     DimensionMismatchError,
@@ -45,12 +45,6 @@ class GridTooLargeError(ValueError):
 
 class InvalidMethodParamsError(ValueError):
     pass
-
-
-class StabilityViolationError(StabilityError):
-    def __init__(self, omega):
-        super().__init__(f"omega={omega} violates the PSO stability region")
-        self.omega = omega
 
 
 # ---------------------------------------------------------------------------
@@ -227,15 +221,13 @@ def run_local_bo(config: BoConfig, objective, restarts: int = 10,
 def _scan(space: SearchSpace, objective, points):
     """Evaluate each point, materialized, in order; returns (best_point, best_value, trace).
 
-    A non-finite value raises ObjectiveFailureError, as in the BO loop.
+    Each value is checked by boloop.call_objective, as in the BO loop.
     """
     best_x, best_v = None, -np.inf
     trace = []
     for i, x in enumerate(points):
         x = materialize(space, x)
-        v = float(objective(x))
-        if not np.isfinite(v):
-            raise ObjectiveFailureError(i, f"non-finite value {v}")
+        v = call_objective(objective, x, i)
         if v > best_v:
             best_x, best_v = x, v
         trace.append(best_v)
@@ -250,8 +242,8 @@ def run_random_search(space: SearchSpace, objective, budget: int,
     return _scan(space, objective, (sample_uniform(space, rng) for _ in range(budget)))
 
 
-def grid_points(space: SearchSpace, points_per_dim: int, cap: int = GRID_CAP):
-    """Deterministic Cartesian lattice; integer dims use their own (coarser) lattice."""
+def grid_points(space: SearchSpace, points_per_dim: int):
+    """Lazy Cartesian lattice of at most GRID_CAP points; integer dims get their own (coarser) one."""
     axes = []
     for d in space.dims:
         if d.kind == INTEGER:
@@ -262,16 +254,14 @@ def grid_points(space: SearchSpace, points_per_dim: int, cap: int = GRID_CAP):
                 continue
         axes.append(np.linspace(d.lower, d.upper, points_per_dim))
     total = int(np.prod([len(a) for a in axes]))
-    if total > cap:
-        raise GridTooLargeError(f"grid of {total} points exceeds cap {cap}")
-    for combo in itertools.product(*axes):
-        yield np.array(combo)
+    if total > GRID_CAP:
+        raise GridTooLargeError(f"grid of {total} points exceeds cap {GRID_CAP}")
+    return map(np.array, itertools.product(*axes))
 
 
-def run_grid_search(space: SearchSpace, objective, points_per_dim: int,
-                    cap: int = GRID_CAP):
+def run_grid_search(space: SearchSpace, objective, points_per_dim: int):
     """Exhaustive lattice baseline; returns (best_point, best_value, incumbent_trace)."""
-    return _scan(space, objective, grid_points(space, points_per_dim, cap=cap))
+    return _scan(space, objective, grid_points(space, points_per_dim))
 
 
 # ---------------------------------------------------------------------------
@@ -376,6 +366,9 @@ def _run_cells(methods: list[MethodSpec], seeds: list[int],
         raise ValueError("need at least one seed")
     if budget <= config.init_count and any(m.kind in (PSO_BO, LOCAL_BO) for m in methods):
         raise ValueError("budget must exceed the initial-design size")
+    for m in methods:
+        if m.kind == GRID_SEARCH:
+            grid_points(config.space, m.points_per_dim)  # raises here if over GRID_CAP
     cells = [(m, s) for m in methods for s in seeds]
 
     def run_cell(cell):
@@ -451,11 +444,6 @@ def omega_sweep(objective_spec: ObjectiveSpec, omegas: list[float],
     if config is None:
         config = BoConfig(space=default_space(objective_spec))
     methods = [MethodSpec(PSO_BO, pso=replace(config.pso, omega=omega)) for omega in omegas]
-    for m in methods:
-        try:
-            check_stability(m.pso)
-        except StabilityError as exc:
-            raise StabilityViolationError(m.pso.omega) from exc
     results = _run_cells(methods, seeds, objective_spec, config, budget, executor=executor)
     for res in results.values():
         if isinstance(res, Exception):

@@ -15,8 +15,8 @@ import numpy as np
 
 from . import gp
 from .acquisition import AcquisitionSpec, evaluate
-from .pso import PsoParams, check_stability, run_pso
-from .space import SearchSpace, materialize, sample_uniform, validate_space
+from .pso import PsoParams, run_pso
+from .space import SearchSpace, materialize, sample_uniform
 
 log = logging.getLogger(__name__)
 
@@ -75,12 +75,12 @@ class BoConfig:
     gp_bounds: gp.FitBounds = gp.FitBounds()
 
     def __post_init__(self):
-        validate_space(self.space)
-        check_stability(self.pso)
         if self.init_count < 1:
             raise ValueError("init_count must be at least 1")
         if self.iterations < 1:
             raise ValueError("iterations must be at least 1")
+        if self.noise_var is not None and not 0.0 <= self.noise_var < np.inf:
+            raise ValueError(f"noise_var must be finite and non-negative, got {self.noise_var!r}")
 
 
 @dataclass(frozen=True)
@@ -92,15 +92,21 @@ class BoResult:
     n_evaluations: int
 
 
-def _observe(space, objective, x_raw, index, iteration, phase) -> Observation:
-    x_mat = materialize(space, x_raw)
+def call_objective(objective, x, index: int) -> float:
+    """objective(x) as a finite float, else ObjectiveFailureError (BO loop and baselines)."""
     try:
-        y = float(objective(x_mat))
+        y = float(objective(x))
     except Exception as exc:
         raise ObjectiveFailureError(index, exc) from exc
     if not np.isfinite(y):
         # the GP cannot model it, and it would hide every later observation
         raise ObjectiveFailureError(index, f"non-finite value {y}")
+    return y
+
+
+def _observe(space, objective, x_raw, index, iteration, phase) -> Observation:
+    x_mat = materialize(space, x_raw)
+    y = call_objective(objective, x_mat, index)
     return Observation(point=np.asarray(x_raw, float), materialized=x_mat,
                        y=y, iteration=iteration, phase=phase)
 

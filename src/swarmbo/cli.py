@@ -29,8 +29,8 @@ from . import bench
 from .acquisition import AcquisitionSpec
 from .boloop import BoConfig, run_bo
 from .gp import FitBounds
-from .pso import PsoParams, StabilityError
-from .space import Dimension, SearchSpace, SpaceError, validate_space
+from .pso import PsoParams
+from .space import Dimension, SearchSpace
 
 SEED_ENV_VAR = "SWARMBO_SEED"
 
@@ -92,13 +92,9 @@ def _parse_space(entries) -> SearchSpace:
         for key in _SPACE_DIM_KEYS:
             if key not in entry:
                 raise ConfigError(f"space[{i}]: missing key {key!r}")
-        if entry["type"] not in ("real", "integer"):
-            raise ConfigError(f"space[{i}]: type must be 'real' or 'integer'")
         dims.append(Dimension(str(entry["name"]), entry["type"],
                               float(entry["lower"]), float(entry["upper"])))
-    space = SearchSpace(dims)
-    validate_space(space)
-    return space
+    return SearchSpace(dims)
 
 
 def _parse_objective(raw) -> bench.ObjectiveSpec:
@@ -120,7 +116,7 @@ def _parse_bo_config(raw, objective_spec: bench.ObjectiveSpec, seed: int = 0) ->
         iterations=int(bo.get("iterations", 30)),
         seed=seed,
         noise_var=bo.get("noise_var"),
-        gp_bounds=FitBounds(**{k: tuple(v) for k, v in (raw.get("gp") or {}).items()}),
+        gp_bounds=FitBounds(**raw.get("gp") or {}),
     )
 
 
@@ -283,7 +279,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, SpaceError, StabilityError, ValueError, TypeError) as exc:
+    except (ConfigError, ValueError, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:

@@ -8,7 +8,8 @@ variance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from numbers import Real
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
@@ -18,20 +19,6 @@ from .space import Dimension, REAL, SearchSpace
 
 JITTER_START = 1e-10
 JITTER_MAX = 1e-4
-
-# log10 bounds for hyperparameter fitting (lengthscales in unit-cube units)
-DEFAULT_LOG_THETA0_BOUNDS = (-3.0, 3.0)
-DEFAULT_LOG_LENGTHSCALE_BOUNDS = (-2.0, 2.0)
-DEFAULT_LOG_NOISE_BOUNDS = (-8.0, 0.0)
-
-
-@dataclass(frozen=True)
-class FitBounds:
-    """log10 search bounds used when fitting kernel hyperparameters."""
-
-    log_theta0: tuple[float, float] = DEFAULT_LOG_THETA0_BOUNDS
-    log_lengthscale: tuple[float, float] = DEFAULT_LOG_LENGTHSCALE_BOUNDS
-    log_noise: tuple[float, float] = DEFAULT_LOG_NOISE_BOUNDS
 
 
 class GpError(Exception):
@@ -44,6 +31,25 @@ class InvalidParamsError(GpError, ValueError):
 
 class FactorizationFailureError(GpError):
     """Cholesky failed even after jitter escalation."""
+
+
+@dataclass(frozen=True)
+class FitBounds:
+    """log10 search bounds used when fitting kernel hyperparameters (lengthscales in
+    unit-cube units). Each is a (lower, upper) pair of finite numbers, lower < upper."""
+
+    log_theta0: tuple[float, float] = (-3.0, 3.0)
+    log_lengthscale: tuple[float, float] = (-2.0, 2.0)
+    log_noise: tuple[float, float] = (-8.0, 0.0)
+
+    def __post_init__(self):
+        for f in fields(self):
+            pair = getattr(self, f.name)
+            ok = isinstance(pair, (tuple, list)) and len(pair) == 2
+            ok = ok and all(isinstance(v, Real) and np.isfinite(v) for v in pair)
+            if not (ok and pair[0] < pair[1]):
+                raise InvalidParamsError(f"{f.name} must be a finite pair lower < upper, got {pair!r}")
+            object.__setattr__(self, f.name, tuple(pair))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .space import SearchSpace, clamp, validate_space
+from .space import SearchSpace, clamp
 
 
 class StabilityError(ValueError):
@@ -40,6 +40,9 @@ class PsoParams:
     vmax_fraction: float = 0.5
     tol: float = 1e-8
     patience: int = 15
+
+    def __post_init__(self):
+        check_stability(self)
 
 
 def check_stability(params: PsoParams) -> None:
@@ -75,8 +78,6 @@ class SwarmState:
 def init_swarm(space: SearchSpace, params: PsoParams, fitness,
                rng: np.random.Generator) -> SwarmState:
     """Random positions in the box, velocities uniform in [-vmax, vmax]."""
-    validate_space(space)
-    check_stability(params)
     m, d = params.population, space.dim
     positions = rng.uniform(space.lower, space.upper, size=(m, d))
     vmax = params.vmax_fraction * space.ranges

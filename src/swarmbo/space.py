@@ -59,7 +59,7 @@ class Dimension:
 
 @dataclass(frozen=True)
 class SearchSpace:
-    """Ordered list of bounded dimensions defining the optimization domain."""
+    """Ordered list of bounded dimensions defining the optimization domain; validated when built."""
 
     dims: tuple[Dimension, ...]
     lower: np.ndarray = field(init=False, repr=False, compare=False)
@@ -69,6 +69,7 @@ class SearchSpace:
         object.__setattr__(self, "dims", tuple(dims))
         object.__setattr__(self, "lower", np.array([d.lower for d in self.dims], dtype=float))
         object.__setattr__(self, "upper", np.array([d.upper for d in self.dims], dtype=float))
+        validate_space(self)
 
     @property
     def dim(self) -> int:
@@ -115,9 +116,9 @@ def clamp(space: SearchSpace, x: np.ndarray) -> np.ndarray:
 
 
 def _round_half_away(v: np.ndarray) -> np.ndarray:
-    # np.round ties to even; half-away-from-zero keeps results
-    # platform-independent and matches the documented contract.
-    return np.sign(v) * np.floor(np.abs(v) + 0.5)
+    # np.round ties to even; half-away-from-zero keeps results platform-independent
+    # and matches the documented contract. `+ 0.0` maps -0.0 (from (-0.5, 0)) to 0.0.
+    return np.sign(v) * np.floor(np.abs(v) + 0.5) + 0.0
 
 
 def materialize(space: SearchSpace, x: np.ndarray) -> np.ndarray:

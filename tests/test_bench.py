@@ -11,7 +11,6 @@ from swarmbo.bench import (
     ObjectiveSpec,
     PSO_BO,
     RANDOM_SEARCH,
-    StabilityViolationError,
     default_space,
     eval_objective,
     local_ascent,
@@ -25,6 +24,7 @@ from swarmbo.bench import (
     write_report_csv,
 )
 from swarmbo.boloop import BoConfig, ObjectiveFailureError, component_rng
+from swarmbo.pso import OmegaOutOfRangeError
 from swarmbo.space import Dimension, DimensionMismatchError, INTEGER, REAL, SearchSpace
 
 BRANIN_OPT = 0.397887357729738  # value at (pi, 2.275), frozen via mpmath
@@ -141,6 +141,8 @@ class TestGridSearch:
         space = SearchSpace([Dimension(f"x{i}", REAL, 0, 1) for i in range(7)])
         with pytest.raises(GridTooLargeError):
             run_grid_search(space, lambda x: 0.0, 10)
+        with pytest.raises(GridTooLargeError):
+            bench.grid_points(space, 10)  # at the call, before any point is drawn
 
 
 class TestRunExperiment:
@@ -214,6 +216,14 @@ class TestRunExperiment:
             run_grid_search(space, lambda x: float("nan") if x[0] == 0.5 else 0.0, 3)
         assert info.value.index == 1
 
+    def test_baseline_objective_exception_names_the_evaluation(self):
+        def diverge(x):
+            raise ValueError("solver diverged")
+
+        space = SearchSpace([Dimension("a", REAL, 0, 1)])
+        with pytest.raises(ObjectiveFailureError, match="evaluation 0 failed: solver diverged"):
+            run_random_search(space, diverge, 3, np.random.default_rng(0))
+
     def test_method_failing_on_every_seed_reraises(self, monkeypatch):
         spec = ObjectiveSpec("sphere", dims=1, negate=True)
         made = []
@@ -260,7 +270,7 @@ class TestOmegaSweep:
 
     def test_unstable_omega_rejected(self):
         spec = ObjectiveSpec("sphere", dims=1, negate=True)
-        with pytest.raises(StabilityViolationError):
+        with pytest.raises(OmegaOutOfRangeError, match="1.5"):
             omega_sweep(spec, [0.5, 1.5], [0, 1], budget=8)
 
     def test_one_seed(self):

@@ -196,6 +196,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             BoConfig(space=box_1d(), iterations=0)
 
+    @pytest.mark.parametrize("noise_var", [-1.0, float("inf"), float("nan")])
+    def test_bad_noise_var_rejected(self, noise_var):
+        with pytest.raises(ValueError, match="noise_var must be finite and non-negative"):
+            BoConfig(space=box_1d(), noise_var=noise_var)
+
     def test_unstable_pso_rejected(self):
         with pytest.raises(ValueError):
             BoConfig(space=box_1d(), pso=PsoParams(omega=1.5))

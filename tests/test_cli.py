@@ -9,6 +9,7 @@ import pytest
 import yaml
 
 import swarmbo
+from swarmbo import bench
 from swarmbo.bench import (
     LOCAL_BO,
     MethodSpec,
@@ -21,7 +22,9 @@ from swarmbo.bench import (
     run_experiment,
 )
 from swarmbo.boloop import BoConfig
-from swarmbo.cli import EXIT_CONFIG, EXIT_OK, _parse_bo_config, _parse_methods, load_config, main
+from swarmbo.cli import (
+    EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, _parse_bo_config, _parse_methods, load_config, main,
+)
 from swarmbo.gp import FitBounds
 from swarmbo.pso import PsoParams
 
@@ -328,6 +331,55 @@ def test_unknown_key_exits_2(tmp_path, capsys, where):
     assert main(["compare", "--config", cfg, "--output-dir", str(tmp_path / "o")]) == EXIT_CONFIG
     assert "unknown key(s) ['bogus']" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def _experiment(*methods):
+    return {"methods": list(methods), "seeds": [0, 1], "budget": 8}
+
+
+@pytest.mark.parametrize("command, raw, cause", [
+    ("compare", {"gp": {"log_noise": [0, -8]},
+                 "experiment": _experiment({"kind": "random_search"}, {"kind": "pso_bo"})},
+     "log_noise must be a finite pair lower < upper, got [0, -8]"),
+    ("run", {"gp": {"log_noise": [-8]}}, "log_noise must be a finite pair lower < upper, got [-8]"),
+    ("run", {"gp": {"log_noise": 5}}, "log_noise must be a finite pair lower < upper, got 5"),
+    ("compare", {"experiment": _experiment({"kind": "random_search"},
+                                           {"kind": "pso_bo", "pso": {"omega": 1.5}})},
+     "omega=1.5 outside (-1, 1)"),
+    ("compare", {"objective": {"name": "styblinski_tang", "dims": 7, "negate": True},
+                 "experiment": _experiment({"kind": "pso_bo"}, {"kind": "grid_search"})},
+     "grid of 10000000 points exceeds cap 1000000"),
+    ("run", {"space": [{"name": "a", "type": "real", "lower": 1.0, "upper": 0.0}]},
+     "dimension 'a': lower bound must be strictly below upper bound"),
+    ("run", {"bo": {"noise_var": -1.0}}, "noise_var must be finite and non-negative, got -1.0"),
+], ids=["inverted-gp-bound", "one-element-gp-bound", "scalar-gp-bound", "unstable-method-pso",
+        "grid-over-cap-after-pso_bo", "inverted-space-dim", "negative-noise-var"])
+def test_config_error_exits_2_before_any_evaluation(tmp_path, capsys, monkeypatch,
+                                                     command, raw, cause):
+    calls = []
+    real = bench.make_objective
+    monkeypatch.setattr(bench, "make_objective", lambda spec, seed: (
+        lambda x, fn=real(spec, seed): calls.append(1) or fn(x)))
+    cfg = write_config(tmp_path / "c.yaml", {"objective": dict(SPHERE_1D), **raw})
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--output-dir", str(out)]) == EXIT_CONFIG
+    assert cause in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
+
+
+def test_baseline_objective_failure_exits_1(tmp_path, capsys, monkeypatch):
+    def diverge(x):
+        raise ValueError("solver diverged")
+
+    monkeypatch.setattr(bench, "make_objective", lambda spec, seed: diverge)
+    cfg = write_config(tmp_path / "c.yaml", {
+        "objective": dict(SPHERE_1D),
+        "experiment": _experiment({"kind": "random_search"}, {"kind": "grid_search"}),
+    })
+    assert main(["compare", "--config", cfg, "--output-dir", str(tmp_path / "o")]) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert "runtime error: objective evaluation 0 failed: solver diverged" in err
 
 
 def test_cli_import_leaves_scipy_spatial_out():

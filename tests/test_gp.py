@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from swarmbo import gp
 from swarmbo.gp import (
     FactorizationFailureError,
+    FitBounds,
     InvalidParamsError,
     KernelParams,
     fit_hyperparams,
@@ -257,6 +258,22 @@ class TestLogMarginalLikelihood:
             params = KernelParams(theta0=1.0, lengthscales=[0.3], noise_var=noise)
             lmls.append(log_marginal_likelihood(fit_model(space, xs, ys, params)))
         assert lmls[0] > lmls[1] > lmls[2]
+
+
+class TestFitBounds:
+    def test_valid_pairs_accepted(self):
+        FitBounds()
+        bounds = FitBounds(log_theta0=[-1, 1], log_lengthscale=(np.float64(-1.5), np.int64(1)))
+        assert bounds.log_theta0 == (-1, 1)  # stored as a tuple
+
+    @pytest.mark.parametrize("field", ["log_theta0", "log_lengthscale", "log_noise"])
+    @pytest.mark.parametrize("bad", [
+        (0.0, -8.0), (1.0, 1.0), (-8.0,), (-8.0, 0.0, 1.0), (float("nan"), 0.0),
+        (-8.0, float("inf")), ("-8", "0"), "ab", -8.0, None, [[-8, 0], 1], np.array([-8.0, 0.0]),
+    ])
+    def test_invalid_pair_names_the_field(self, field, bad):
+        with pytest.raises(InvalidParamsError, match=f"{field} must be a finite pair"):
+            FitBounds(**{field: bad})
 
 
 class TestFitHyperparams:

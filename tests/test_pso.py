@@ -39,12 +39,11 @@ class TestStability:
     )
     def test_matches_direct_inequalities(self, omega, c1, c2):
         inside = -1.0 < omega < 1.0 and 0.0 < c1 + c2 < 4.0 * (1.0 + omega)
-        params = PsoParams(omega=omega, c1=c1, c2=c2)
         if inside:
-            check_stability(params)
+            check_stability(PsoParams(omega=omega, c1=c1, c2=c2))
         else:
             with pytest.raises((OmegaOutOfRangeError, LearningFactorsOutOfRangeError)):
-                check_stability(params)
+                PsoParams(omega=omega, c1=c1, c2=c2)
 
 
 class TestInitSwarm:

@@ -38,19 +38,16 @@ class TestValidate:
             validate_space(SearchSpace([]))
 
     def test_degenerate_interval(self):
-        space = SearchSpace([Dimension("a", REAL, 1.0, 1.0)])
         with pytest.raises(InvertedBoundsError):
-            validate_space(space)
+            SearchSpace([Dimension("a", REAL, 1.0, 1.0)])
 
     def test_integer_range_without_integers(self):
-        space = SearchSpace([Dimension("a", INTEGER, 0.2, 0.8)])
         with pytest.raises(EmptyIntegerRangeError):
-            validate_space(space)
+            SearchSpace([Dimension("a", INTEGER, 0.2, 0.8)])
 
     def test_duplicate_names(self):
-        space = SearchSpace([Dimension("a", REAL, 0, 1), Dimension("a", REAL, 0, 2)])
         with pytest.raises(Exception):
-            validate_space(space)
+            SearchSpace([Dimension("a", REAL, 0, 1), Dimension("a", REAL, 0, 2)])
 
 
 class TestSampleUniform:
@@ -119,6 +116,10 @@ class TestMaterialize:
         space = SearchSpace([Dimension("n", INTEGER, -10, 10)])
         assert materialize(space, np.array([2.5]))[0] == 3.0
         assert materialize(space, np.array([-2.5]))[0] == -3.0
+
+    def test_no_signed_zero(self):
+        space = SearchSpace([Dimension("n", INTEGER, -5, 5)])
+        assert not np.signbit(materialize(space, np.array([-0.3]))[0])
 
     def test_rounding_stays_feasible(self):
         # 10.4 rounds toward 10, never below the integer-feasible floor
