@@ -20,6 +20,7 @@ import socket
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +57,13 @@ _SECTION_KEYS = {
 }
 _SPACE_DIM_KEYS = {"name", "type", "lower", "upper"}
 _METHOD_KEYS = {f.name for f in fields(bench.MethodSpec)}
+# keys whose values must be real numbers (not bool); _INTEGER_KEYS must be integers
+_NUMBER_KEYS = {
+    "acquisition": {"gamma", "xi"},
+    "pso": _SECTION_KEYS["pso"],
+    "bo": _SECTION_KEYS["bo"],
+}
+_INTEGER_KEYS = {"population", "max_iters", "patience"}
 
 
 def _check_keys(mapping, allowed, where):
@@ -64,6 +72,16 @@ def _check_keys(mapping, allowed, where):
     unknown = set(mapping) - allowed
     if unknown:
         raise ConfigError(f"{where}: unknown key(s) {sorted(unknown)}")
+
+
+def _check_numbers(mapping, section, where):
+    for key in sorted(_NUMBER_KEYS[section] & set(mapping)):
+        value = mapping[key]
+        if key == "noise_var" and value is None:
+            continue  # null: fit the noise
+        kind, number = ("an integer", Integral) if key in _INTEGER_KEYS else ("a number", Real)
+        if isinstance(value, bool) or not isinstance(value, number):
+            raise ConfigError(f"{where}.{key}: expected {kind}, got {value!r}")
 
 
 def load_config(path) -> dict:
@@ -80,6 +98,8 @@ def load_config(path) -> dict:
     for section, keys in _SECTION_KEYS.items():
         if section in raw and raw[section] is not None:
             _check_keys(raw[section], keys, section)
+            if section in _NUMBER_KEYS:
+                _check_numbers(raw[section], section, section)
     return raw
 
 
@@ -131,6 +151,7 @@ def _parse_methods(entries) -> list[bench.MethodSpec]:
         kwargs = dict(entry)
         if "pso" in kwargs and kwargs["pso"] is not None:
             _check_keys(kwargs["pso"], _SECTION_KEYS["pso"], f"experiment.methods[{i}].pso")
+            _check_numbers(kwargs["pso"], "pso", f"experiment.methods[{i}].pso")
             kwargs["pso"] = PsoParams(**kwargs["pso"])
         methods.append(bench.MethodSpec(**kwargs))
     return methods

@@ -12,13 +12,17 @@ from dataclasses import dataclass, field, fields
 from numbers import Real
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg import get_lapack_funcs, solve_triangular
 
 from .pso import PsoParams, run_pso
 from .space import Dimension, REAL, SearchSpace
 
 JITTER_START = 1e-10
 JITTER_MAX = 1e-4
+
+# the LAPACK routines behind scipy.linalg.cholesky(lower=True) and cho_solve,
+# called directly: no finite checks, batch decorator or array copies per call
+_potrf, _potrs = get_lapack_funcs(("potrf", "potrs"), (np.empty(0),))
 
 
 class GpError(Exception):
@@ -60,12 +64,12 @@ class KernelParams:
 
     def __post_init__(self):
         object.__setattr__(self, "lengthscales", np.atleast_1d(np.asarray(self.lengthscales, dtype=float)))
-        if self.theta0 <= 0:
-            raise InvalidParamsError("theta0 must be positive")
-        if np.any(self.lengthscales <= 0):
-            raise InvalidParamsError("lengthscales must be positive")
-        if self.noise_var < 0:
-            raise InvalidParamsError("noise_var must be non-negative")
+        if not 0 < self.theta0 < np.inf:
+            raise InvalidParamsError("theta0 must be positive and finite")
+        if not np.all((self.lengthscales > 0) & (self.lengthscales < np.inf)):
+            raise InvalidParamsError("lengthscales must be positive and finite")
+        if not 0 <= self.noise_var < np.inf:
+            raise InvalidParamsError("noise_var must be non-negative and finite")
 
 
 def matern52(a: np.ndarray, b: np.ndarray, params: KernelParams) -> float:
@@ -74,21 +78,30 @@ def matern52(a: np.ndarray, b: np.ndarray, params: KernelParams) -> float:
     b = np.atleast_1d(np.asarray(b, dtype=float))
     if a.shape != b.shape:
         raise InvalidParamsError("inputs must have equal length")
-    return float(_kernel_matrix(a[None], b[None], params)[0, 0])
+    return float(_kernel(a[None], b[None], params.theta0, params.lengthscales)[0, 0])
 
 
-def _kernel_matrix(A: np.ndarray, B: np.ndarray, params: KernelParams) -> np.ndarray:
-    # summed over dimensions in order: bit-identical to cdist's sqeuclidean at any dimension
-    columns = zip((A / params.lengthscales).T, (B / params.lengthscales).T)
-    r2 = sum((a[:, None] - b[None, :]) ** 2 for a, b in columns)
+def _kernel(A: np.ndarray, B: np.ndarray, theta0, ells: np.ndarray) -> np.ndarray:
+    """Matern-5/2 matrices k(A, B) for a batch of kernels: theta0 of shape (...) and
+    ells of shape (..., d) give shape (..., len(A), len(B)). Each kernel equals the
+    one computed alone, bit for bit: the scaled squared differences are summed one
+    dimension at a time, in order (a last-axis sum differs in the last bits from d=8 on)."""
+    ells = np.asarray(ells)[..., None, :]
+    As, Bs = A / ells, B / ells
+    r2 = sum((As[..., :, j, None] - Bs[..., None, :, j]) ** 2 for j in range(A.shape[1]))
     sr5 = np.sqrt(5.0 * r2)
-    return params.theta0 * (1.0 + sr5 + (5.0 / 3.0) * r2) * np.exp(-sr5)
+    # theta0 * (1 + sr5 + 5/3 r2) * exp(-sr5), in place to save temporaries
+    k = 1.0 + sr5
+    k += (5.0 / 3.0) * r2
+    k *= np.asarray(theta0)[..., None, None]
+    k *= np.exp(-sr5)
+    return k
 
 
 def gram_matrix(xs: np.ndarray, params: KernelParams) -> np.ndarray:
     """Symmetric kernel matrix K_ij = k(x_i, x_j) with theta0 on the diagonal."""
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    return _kernel_matrix(xs, xs, params)
+    return _kernel(xs, xs, params.theta0, params.lengthscales)
 
 
 @dataclass(frozen=True)
@@ -126,6 +139,8 @@ def _standardize(space: SearchSpace, xs, ys):
         raise InvalidParamsError("xs and ys length mismatch")
     if xs.shape[0] < 1:
         raise InvalidParamsError("need at least one observation")
+    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
+        raise InvalidParamsError("xs and ys must be finite")
 
     y_mean = float(np.mean(ys))
     y_std = float(np.std(ys))
@@ -134,24 +149,28 @@ def _standardize(space: SearchSpace, xs, ys):
     return _normalize(space, xs), (ys - y_mean) / y_std, y_mean, y_std
 
 
+def _cholesky(K: np.ndarray, y: np.ndarray, theta0: float):
+    """(L, alpha, jitter) with L L^T = K + jitter*I and alpha = (L L^T)^-1 y, the
+    jitter escalating one decade at a time from JITTER_START*theta0."""
+    eye = np.eye(len(y))
+    jitter = JITTER_START * theta0
+    while jitter <= JITTER_MAX * theta0 * (1 + 1e-12):
+        L, info = _potrf(K + jitter * eye, lower=1, clean=1)
+        if info == 0:
+            return L, _potrs(L, y, lower=1)[0], jitter
+        jitter *= 10.0
+    raise FactorizationFailureError(f"Cholesky failed up to jitter {jitter:g}")
+
+
 def _factorize(X: np.ndarray, y: np.ndarray, params: KernelParams):
     """(L, alpha, jitter) with L L^T = K + (noise + jitter)*I and alpha = (L L^T)^-1 y."""
     K = gram_matrix(X, params) + params.noise_var * np.eye(len(y))
-    jitter = JITTER_START * params.theta0
-    last_exc = None
-    while jitter <= JITTER_MAX * params.theta0 * (1 + 1e-12):
-        try:
-            L = cholesky(K + jitter * np.eye(len(y)), lower=True)
-            return L, cho_solve((L, True), y), jitter
-        except np.linalg.LinAlgError as exc:
-            last_exc = exc
-        jitter *= 10.0
-    raise FactorizationFailureError(f"Cholesky failed up to jitter {jitter:g}") from last_exc
+    return _cholesky(K, y, params.theta0)
 
 
 def _lml(y: np.ndarray, L: np.ndarray, alpha: np.ndarray) -> float:
     """Zero-mean Gaussian log marginal likelihood of y given its factorization."""
-    return float(-0.5 * y @ alpha - np.sum(np.log(np.diag(L))) - 0.5 * len(y) * np.log(2.0 * np.pi))
+    return float(-0.5 * y @ alpha - np.log(L.diagonal()).sum() - 0.5 * len(y) * np.log(2.0 * np.pi))
 
 
 def fit_model(space: SearchSpace, xs, ys, params: KernelParams) -> GpModel:
@@ -167,7 +186,7 @@ def predict(model: GpModel, x) -> Posterior:
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     X = _normalize(model.space, np.atleast_2d(x))
-    k = _kernel_matrix(model.train_x, X, model.params)  # (t, n)
+    k = _kernel(model.train_x, X, model.params.theta0, model.params.lengthscales)  # (t, n)
     mean_std = k.T @ model.alpha
     v = solve_triangular(model.chol, k, lower=True)
     var_std = model.params.theta0 - np.sum(v * v, axis=0)
@@ -212,21 +231,31 @@ def fit_hyperparams(space: SearchSpace, xs, ys, rng: np.random.Generator,
         dims.append(Dimension("log_noise_var", REAL, *bounds.log_noise))
     hyper_space = SearchSpace(dims)
 
-    def unpack(z: np.ndarray) -> KernelParams:
-        theta0 = 10.0 ** z[0]
-        ells = 10.0 ** z[1 : 1 + d]
-        nv = 10.0 ** z[1 + d] if fit_noise else noise_var
-        return KernelParams(theta0=theta0, lengthscales=ells, noise_var=nv)
+    def unpack(Z: np.ndarray):
+        """(theta0, lengthscales, noise) of a batch of rows. theta0 and the noise take
+        a scalar power per row: numpy's array power rounds some values differently."""
+        theta0 = np.array([10.0 ** v for v in Z[:, 0]])
+        if fit_noise:
+            return theta0, 10.0 ** Z[:, 1 : 1 + d], np.array([10.0 ** v for v in Z[:, 1 + d]])
+        return theta0, 10.0 ** Z[:, 1 : 1 + d], np.full(len(Z), noise_var, dtype=float)
 
-    def lml(z: np.ndarray) -> float:
-        try:
-            L, alpha, _ = _factorize(X, y, unpack(z))
-        except FactorizationFailureError:
-            return -np.inf
-        return _lml(y, L, alpha)
+    eye = np.eye(len(y))
 
-    result = run_pso(hyper_space, _FIT_PSO, lambda Z: np.array([lml(z) for z in Z]), rng)
+    def lml(Z: np.ndarray) -> np.ndarray:
+        theta0, ells, nv = unpack(Z)
+        K = _kernel(X, X, theta0, ells) + nv[:, None, None] * eye
+        out = np.full(len(Z), -np.inf)
+        for i in range(len(Z)):
+            try:
+                L, alpha, _ = _cholesky(K[i], y, theta0[i])
+            except FactorizationFailureError:
+                continue  # scored -inf
+            out[i] = _lml(y, L, alpha)
+        return out
+
+    result = run_pso(hyper_space, _FIT_PSO, lml, rng)
     if not np.isfinite(result.best_fitness):
         # every candidate failed to factorize
         return fallback_params(d, noise_var)
-    return unpack(result.best_position)
+    theta0, ells, nv = unpack(result.best_position[None])
+    return KernelParams(theta0=theta0[0], lengthscales=ells[0], noise_var=nv[0])

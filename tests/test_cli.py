@@ -352,8 +352,21 @@ def _experiment(*methods):
     ("run", {"space": [{"name": "a", "type": "real", "lower": 1.0, "upper": 0.0}]},
      "dimension 'a': lower bound must be strictly below upper bound"),
     ("run", {"bo": {"noise_var": -1.0}}, "noise_var must be finite and non-negative, got -1.0"),
+    ("run", {"pso": {"omega": "fast"}}, "pso.omega: expected a number, got 'fast'"),
+    ("run", {"pso": {"c1": True}}, "pso.c1: expected a number, got True"),
+    ("run", {"pso": {"population": "ten"}}, "pso.population: expected an integer, got 'ten'"),
+    ("run", {"pso": {"max_iters": 10.0}}, "pso.max_iters: expected an integer, got 10.0"),
+    ("run", {"acquisition": {"gamma": "big"}}, "acquisition.gamma: expected a number, got 'big'"),
+    ("run", {"bo": {"noise_var": "small"}}, "bo.noise_var: expected a number, got 'small'"),
+    ("sweep", {"bo": {"init_count": "five"}, "sweep": {"omegas": [0.5], "seeds": [0], "budget": 8}},
+     "bo.init_count: expected a number, got 'five'"),
+    ("compare", {"experiment": _experiment({"kind": "random_search"},
+                                           {"kind": "pso_bo", "pso": {"patience": "long"}})},
+     "experiment.methods[1].pso.patience: expected an integer, got 'long'"),
 ], ids=["inverted-gp-bound", "one-element-gp-bound", "scalar-gp-bound", "unstable-method-pso",
-        "grid-over-cap-after-pso_bo", "inverted-space-dim", "negative-noise-var"])
+        "grid-over-cap-after-pso_bo", "inverted-space-dim", "negative-noise-var",
+        "string-omega", "bool-c1", "string-population", "float-max-iters", "string-gamma",
+        "string-noise-var", "string-init-count", "string-method-patience"])
 def test_config_error_exits_2_before_any_evaluation(tmp_path, capsys, monkeypatch,
                                                      command, raw, cause):
     calls = []

@@ -110,7 +110,7 @@ class TestFitAndPredict:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_targets_rejected(self, bad):
-        # a ValueError from the solve, not a jitter failure
+        # an InvalidParamsError from the data checks, not a jitter failure
         params = KernelParams(theta0=1.0, lengthscales=[0.5], noise_var=0.0)
         with pytest.raises(ValueError):
             fit_model(unit_box(), [[0.2], [0.7]], [1.0, bad], params)
@@ -354,14 +354,14 @@ class TestHyperparamScorer:
         # duplicated pair's diagonal exceeds their covariance by less than
         # 5e-8 relative (zero noise escalates the jitter three decades) and
         # always fails for theta0 above 100
-        real = gp.cholesky
+        real = gp._potrf
 
-        def fragile(A, lower=False):
+        def fragile(A, **kwargs):
             if A[0, 1] > 100.0 or A[0, 0] - A[0, 1] < 5e-8 * A[0, 1]:
-                raise np.linalg.LinAlgError("not positive definite")
-            return real(A, lower=lower)
+                return A, 1  # LAPACK's "leading minor 1 is not positive definite"
+            return real(A, **kwargs)
 
-        monkeypatch.setattr(gp, "cholesky", fragile)
+        monkeypatch.setattr(gp, "_potrf", fragile)
         space = unit_box()
         xs, ys = [[0.3], [0.3], [0.6], [0.9]], [1.0, 1.0, -1.0, 0.5]
         params = KernelParams(theta0=1.0, lengthscales=[0.5], noise_var=0.0)
@@ -379,3 +379,97 @@ class TestHyperparamScorer:
         fit_hyperparams(unit_box(), [[0.1], [0.5], [0.9]], [0.0, 1.0, 0.5],
                         np.random.default_rng(0))
         assert calls == []
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("noise_var", [None, 1e-3], ids=["fitted-noise", "pinned-noise"])
+    def test_rows_equal_fit_model_lml_per_dimension(self, monkeypatch, d, noise_var):
+        rng = np.random.default_rng(20 + d)
+        space = SearchSpace([Dimension(f"x{j}", REAL, -5, 10) for j in range(d)])
+        xs = rng.uniform(space.lower, space.upper, size=(15, d))
+        ys = rng.normal(size=15)
+        fitness = self.scorer(monkeypatch, space, xs, ys, noise_var=noise_var)
+        lower = [-3] + [-2] * d + ([-8] if noise_var is None else [])
+        upper = [3] + [2] * d + ([0] if noise_var is None else [])
+        Z = rng.uniform(lower, upper, size=(64, len(lower)))
+        assert np.array_equal(fitness(Z), self.reference(space, xs, ys, Z, noise_var=noise_var))
+
+    def test_one_particle_escalates_its_own_jitter(self, monkeypatch):
+        # the stand-in rejects only the particle whose theta0 is `marked`, until its
+        # jitter reaches 1e-7*theta0; every other particle factorizes at the first try
+        marked = 10.0 ** 1.5
+        attempts = []
+        real = gp._potrf
+
+        def fragile(A, **kwargs):
+            attempts.append(A[0, 0])
+            if marked <= A[0, 0] < marked * (1 + 5e-8):
+                return A, 1
+            return real(A, **kwargs)
+
+        space = unit_box(2)
+        xs, ys = [[0.1, 0.2], [0.4, 0.9], [0.7, 0.3], [0.9, 0.6]], [0.3, -1.0, 0.8, 0.1]
+        fitness = self.scorer(monkeypatch, space, xs, ys, noise_var=0.0)
+        Z = np.column_stack([np.linspace(-1, 1, 5), np.full(5, -0.3), np.full(5, 0.2)])
+        Z[2, 0] = 1.5
+        monkeypatch.setattr(gp, "_potrf", fragile)
+        scores = fitness(Z)
+        assert len(attempts) == len(Z) + 3  # the marked particle alone escalates three decades
+        expected = self.reference(space, xs, ys, Z, noise_var=0.0)
+        assert np.array_equal(scores, expected)
+        params = KernelParams(theta0=marked, lengthscales=10.0 ** Z[2, 1:], noise_var=0.0)
+        assert fit_model(space, xs, ys, params).jitter == pytest.approx(1e-7 * marked)
+        monkeypatch.setattr(gp, "_potrf", real)
+        unescalated = fitness(Z)
+        assert scores[2] != unescalated[2]
+        assert np.array_equal(np.delete(scores, 2), np.delete(unescalated, 2))
+
+    @pytest.mark.parametrize("noise_var", [None, 1e-3], ids=["fitted-noise", "pinned-noise"])
+    def test_fitness_called_once_per_step_with_the_whole_batch(self, monkeypatch, noise_var):
+        shapes, traces = [], []
+        real = gp.run_pso
+
+        def recording(hyper_space, params, fitness, rng):
+            result = real(hyper_space, params, lambda Z: shapes.append(Z.shape) or fitness(Z), rng)
+            traces.append(result.trace)
+            return result
+
+        monkeypatch.setattr(gp, "run_pso", recording)
+        rng = np.random.default_rng(3)
+        fit_hyperparams(unit_box(2), rng.random((9, 2)), rng.normal(size=9),
+                        np.random.default_rng(4), noise_var=noise_var)
+        p = 3 + (noise_var is None)
+        assert len(traces) == 1 and len(shapes) == len(traces[0])  # the initial draw + each step
+        assert set(shapes) == {(gp._FIT_PSO.population, p)}
+
+    def test_no_per_particle_gram_matrix_call(self, monkeypatch):
+        calls = []
+        real = gp.gram_matrix
+        monkeypatch.setattr(gp, "gram_matrix", lambda *args: calls.append(args) or real(*args))
+        fit_hyperparams(unit_box(), [[0.1], [0.5], [0.9]], [0.0, 1.0, 0.5],
+                        np.random.default_rng(0))
+        assert calls == []
+
+
+class TestNonFiniteData:
+    """Non-finite training data is rejected up front, before any factorization."""
+
+    @pytest.mark.parametrize("fit", ["fit_model", "fit_hyperparams"])
+    @pytest.mark.parametrize("where, bad", [("ys", float("nan")), ("ys", float("inf")),
+                                            ("xs", float("nan")), ("xs", float("-inf"))])
+    def test_rejected(self, fit, where, bad):
+        data = {"xs": [[0.2], [0.5], [0.7]], "ys": [1.0, 0.0, -1.0]}
+        data[where][1] = [bad] if where == "xs" else bad
+        call = {"fit_model": lambda: fit_model(unit_box(), data["xs"], data["ys"],
+                                               KernelParams(1.0, [0.5], 0.0)),
+                "fit_hyperparams": lambda: fit_hyperparams(unit_box(), data["xs"], data["ys"],
+                                                           np.random.default_rng(0))}[fit]
+        with pytest.raises(InvalidParamsError, match="xs and ys must be finite"):
+            call()
+
+    @pytest.mark.parametrize("kwargs", [{"theta0": float("inf")}, {"theta0": float("nan")},
+                                        {"lengthscales": [float("inf")]},
+                                        {"lengthscales": [float("nan")]},
+                                        {"noise_var": float("inf")}, {"noise_var": float("nan")}])
+    def test_non_finite_kernel_params_rejected(self, kwargs):
+        with pytest.raises(InvalidParamsError, match="finite"):
+            KernelParams(**{"theta0": 1.0, "lengthscales": [0.5], "noise_var": 0.0, **kwargs})
