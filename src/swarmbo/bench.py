@@ -161,6 +161,8 @@ class MethodSpec:
             raise ValueError(f"unknown method kind {self.kind!r}")
         if self.kind == LOCAL_BO and self.restarts < 1:
             raise InvalidMethodParamsError("local_bo needs at least one restart")
+        if self.kind == LOCAL_BO and self.max_steps < 0:
+            raise InvalidMethodParamsError("local_bo needs max_steps >= 0")
         if self.kind == GRID_SEARCH and self.points_per_dim < 2:
             raise InvalidMethodParamsError("grid_search needs points_per_dim >= 2")
 
@@ -171,40 +173,60 @@ def local_ascent(space: SearchSpace, surface, rng: np.random.Generator,
 
     Stand-in for gradient-based acquisition maximizers; the surface must
     accept an (n, d) batch and return (n,) values.
+
+    Each restart starts at a uniform draw with step 0.1, takes the central
+    difference gradient, and line-searches along it: a candidate that is
+    strictly better is accepted (step x1.5, at most 0.5), else the step
+    halves. A restart stops at a step <= 1e-10, a zero or non-finite gradient
+    norm, or after `max_steps` accepted moves. All restarts advance in
+    lockstep: each round is one surface call holding the 2d gradient probes
+    of every restart that needs a gradient and the candidate of every restart
+    in a line search. The winner is the first restart with the highest value.
     """
     if restarts < 1:
         raise InvalidMethodParamsError("restarts must be at least 1")
+    if max_steps < 0:
+        raise InvalidMethodParamsError("max_steps must be non-negative")
     d = space.dim
     h = 1e-6 * space.ranges
-    eye = np.eye(d)
-    best_x, best_v = None, -np.inf
-    for _ in range(restarts):
-        x = sample_uniform(space, rng)
-        v = float(surface(x[None])[0])
-        step = 0.1
-        for _ in range(max_steps):
-            probes = np.concatenate([x + h * eye, x - h * eye])
-            vals = np.asarray(surface(probes))
-            grad = (vals[:d] - vals[d:]) / (2.0 * h)
-            norm = float(np.linalg.norm(grad))
-            if norm == 0.0 or not np.isfinite(norm):
-                break
-            direction = grad / norm
-            moved = False
-            while step > 1e-10:
-                cand = clamp(space, x + step * space.ranges * direction)
-                cv = float(surface(cand[None])[0])
-                if cv > v:
-                    x, v = cand, cv
-                    step = min(step * 1.5, 0.5)
-                    moved = True
-                    break
-                step *= 0.5
-            if not moved:
-                break
-        if v > best_v:
-            best_x, best_v = x, v
-    return best_x
+    offsets = np.concatenate([h * np.eye(d), -(h * np.eye(d))])  # x + h e_j, then x - h e_j
+    x = np.array([sample_uniform(space, rng) for _ in range(restarts)])
+    v = np.array(surface(x), dtype=float)
+    step = np.full(restarts, 0.1)
+    direction = np.zeros_like(x)
+    moves = np.zeros(restarts, dtype=int)
+    active = np.full(restarts, max_steps > 0)
+    searching = np.zeros(restarts, dtype=bool)  # in a line search, else needs a gradient
+    # invariant: an active restart has step > 1e-10, so a line search always
+    # evaluates at least one candidate
+    while active.any():
+        grad_idx = np.flatnonzero(active & ~searching)
+        line_idx = np.flatnonzero(active & searching)
+        probes = (x[grad_idx, None] + offsets).reshape(-1, d)
+        cands = clamp(space, x[line_idx] + step[line_idx, None] * space.ranges * direction[line_idx])
+        vals = np.asarray(surface(np.concatenate([probes, cands])), dtype=float)
+        probe_vals = vals[: len(probes)].reshape(-1, 2, d)
+        cand_vals = vals[len(probes) :]
+
+        with np.errstate(invalid="ignore"):  # -inf minus -inf: a non-finite norm stops it
+            grad = (probe_vals[:, 0] - probe_vals[:, 1]) / (2.0 * h)
+        norm = np.array([np.linalg.norm(g) for g in grad])  # one dot per row, as for one restart
+        ok = (norm != 0.0) & np.isfinite(norm)
+        direction[grad_idx[ok]] = grad[ok] / norm[ok, None]
+        searching[grad_idx[ok]] = True
+        active[grad_idx[~ok]] = False
+
+        better = cand_vals > v[line_idx]
+        won, lost = line_idx[better], line_idx[~better]
+        x[won], v[won] = cands[better], cand_vals[better]
+        step[won] = np.minimum(step[won] * 1.5, 0.5)
+        moves[won] += 1
+        searching[won] = False
+        active[won] = moves[won] < max_steps
+        step[lost] *= 0.5
+        active[lost] = step[lost] > 1e-10
+    # first highest value wins; a NaN value never does
+    return x[int(np.argmax(np.where(np.isnan(v), -np.inf, v)))]
 
 
 def run_local_bo(config: BoConfig, objective, restarts: int = 10,

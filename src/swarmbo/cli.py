@@ -57,13 +57,20 @@ _SECTION_KEYS = {
 }
 _SPACE_DIM_KEYS = {"name", "type", "lower", "upper"}
 _METHOD_KEYS = {f.name for f in fields(bench.MethodSpec)}
-# keys whose values must be real numbers (not bool); _INTEGER_KEYS must be integers
+# keys whose values must be real numbers (not bool); _INTEGER_KEYS must be
+# integers, and _LIST_KEYS lists of them
 _NUMBER_KEYS = {
+    "objective": {"dims", "noise_std"},
     "acquisition": {"gamma", "xi"},
     "pso": _SECTION_KEYS["pso"],
     "bo": _SECTION_KEYS["bo"],
+    "experiment": {"seeds", "budget"},
+    "sweep": {"omegas", "seeds", "budget"},
+    "method": {"restarts", "max_steps", "points_per_dim"},
 }
-_INTEGER_KEYS = {"population", "max_iters", "patience"}
+_INTEGER_KEYS = {"population", "max_iters", "patience", "dims", "seeds", "budget",
+                 "restarts", "max_steps", "points_per_dim"}
+_LIST_KEYS = {"omegas", "seeds"}
 
 
 def _check_keys(mapping, allowed, where):
@@ -80,8 +87,15 @@ def _check_numbers(mapping, section, where):
         if key == "noise_var" and value is None:
             continue  # null: fit the noise
         kind, number = ("an integer", Integral) if key in _INTEGER_KEYS else ("a number", Real)
-        if isinstance(value, bool) or not isinstance(value, number):
-            raise ConfigError(f"{where}.{key}: expected {kind}, got {value!r}")
+        if key in _LIST_KEYS:
+            if not isinstance(value, list):
+                raise ConfigError(f"{where}.{key}: expected a list, got {value!r}")
+            items = [(f"{where}.{key}[{i}]", v) for i, v in enumerate(value)]
+        else:
+            items = [(f"{where}.{key}", value)]
+        for name, v in items:
+            if isinstance(v, bool) or not isinstance(v, number):
+                raise ConfigError(f"{name}: expected {kind}, got {v!r}")
 
 
 def load_config(path) -> dict:
@@ -148,6 +162,7 @@ def _parse_methods(entries) -> list[bench.MethodSpec]:
         _check_keys(entry, _METHOD_KEYS, f"experiment.methods[{i}]")
         if "kind" not in entry:
             raise ConfigError(f"experiment.methods[{i}]: missing key 'kind'")
+        _check_numbers(entry, "method", f"experiment.methods[{i}]")
         kwargs = dict(entry)
         if "pso" in kwargs and kwargs["pso"] is not None:
             _check_keys(kwargs["pso"], _SECTION_KEYS["pso"], f"experiment.methods[{i}].pso")
@@ -235,11 +250,11 @@ def cmd_compare(args) -> int:
     seeds = section.get("seeds")
     if not isinstance(seeds, list) or len(seeds) < 2:
         raise ConfigError("experiment.seeds: need at least two seeds")
-    budget = int(section.get("budget", 35))
+    budget = section.get("budget", 35)
     config = _parse_bo_config(raw, objective_spec)
 
     with _executor(args.jobs) as executor:
-        report = bench.run_experiment(methods, objective_spec, [int(s) for s in seeds],
+        report = bench.run_experiment(methods, objective_spec, seeds,
                                       budget, config=config, executor=executor)
 
     out = _output_dir(args, raw)
@@ -258,8 +273,8 @@ def cmd_sweep(args) -> int:
     section = raw.get("sweep", {}) or {}
     omegas = [float(w) for w in section.get("omegas",
               [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9])]
-    seeds = [int(s) for s in section.get("seeds", [0, 1])]
-    budget = int(section.get("budget", 35))
+    seeds = section.get("seeds", [0, 1])
+    budget = section.get("budget", 35)
     config = _parse_bo_config(raw, objective_spec)
     with _executor(args.jobs) as executor:
         rows = bench.omega_sweep(objective_spec, omegas, seeds, budget,

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, fields
 from numbers import Real
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs, solve_triangular
+from scipy.linalg import get_lapack_funcs
 
 from .pso import PsoParams, run_pso
 from .space import Dimension, REAL, SearchSpace
@@ -20,9 +20,10 @@ from .space import Dimension, REAL, SearchSpace
 JITTER_START = 1e-10
 JITTER_MAX = 1e-4
 
-# the LAPACK routines behind scipy.linalg.cholesky(lower=True) and cho_solve,
-# called directly: no finite checks, batch decorator or array copies per call
-_potrf, _potrs = get_lapack_funcs(("potrf", "potrs"), (np.empty(0),))
+# the LAPACK routines behind scipy.linalg.cholesky(lower=True), cho_solve and
+# solve_triangular(lower=True) on a Fortran-ordered factor, called directly: no
+# finite checks, batch decorator or array copies per call
+_potrf, _potrs, _trtrs = get_lapack_funcs(("potrf", "potrs", "trtrs"), (np.empty(0),))
 
 
 class GpError(Exception):
@@ -184,11 +185,14 @@ def fit_model(space: SearchSpace, xs, ys, params: KernelParams) -> GpModel:
 def predict(model: GpModel, x) -> Posterior:
     """Posterior mean and latent variance at one point or a batch of points."""
     x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise InvalidParamsError("query points must be finite")
     single = x.ndim == 1
     X = _normalize(model.space, np.atleast_2d(x))
     k = _kernel(model.train_x, X, model.params.theta0, model.params.lengthscales)  # (t, n)
     mean_std = k.T @ model.alpha
-    v = solve_triangular(model.chol, k, lower=True)
+    # the factor is finite by construction (_standardize, _cholesky) and Fortran-ordered
+    v = _trtrs(model.chol, k, lower=1)[0]
     var_std = model.params.theta0 - np.sum(v * v, axis=0)
     var_std = np.maximum(var_std, 0.0)
     mean = mean_std * model.y_std + model.y_mean

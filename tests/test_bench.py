@@ -74,7 +74,131 @@ class TestObjectives:
         assert space.upper.tolist() == [10.0, 15.0]
 
 
+def sequential_local_ascent(space, surface, rng, restarts=10, max_steps=200):
+    """The restart-by-restart local ascent that the lockstep one replaced, kept as
+    the reference: each restart runs to its end before the next one is drawn."""
+    d = space.dim
+    h = 1e-6 * space.ranges
+    eye = np.eye(d)
+    best_x, best_v = None, -np.inf
+    for _ in range(restarts):
+        x = bench.sample_uniform(space, rng)
+        v = float(surface(x[None])[0])
+        step = 0.1
+        for _ in range(max_steps):
+            probes = np.concatenate([x + h * eye, x - h * eye])
+            vals = np.asarray(surface(probes))
+            grad = (vals[:d] - vals[d:]) / (2.0 * h)
+            norm = float(np.linalg.norm(grad))
+            if norm == 0.0 or not np.isfinite(norm):
+                break
+            direction = grad / norm
+            moved = False
+            while step > 1e-10:
+                cand = bench.clamp(space, x + step * space.ranges * direction)
+                cv = float(surface(cand[None])[0])
+                if cv > v:
+                    x, v = cand, cv
+                    step = min(step * 1.5, 0.5)
+                    moved = True
+                    break
+                step *= 0.5
+            if not moved:
+                break
+        if v > best_v:
+            best_x, best_v = x, v
+    return best_x
+
+
+BRANIN_SPACE = default_space(ObjectiveSpec("branin", dims=2))
+
+
+def neg_branin_rows(X):
+    """Negated Branin on each row, elementwise: a row's value never depends on the batch."""
+    a, b, c = 1.0, 5.1 / (4.0 * np.pi**2), 5.0 / np.pi
+    r, s, t = 6.0, 10.0, 1.0 / (8.0 * np.pi)
+    x0, x1 = X[:, 0], X[:, 1]
+    return -(a * (x1 - b * x0**2 + c * x0 - r) ** 2 + s * (1 - t) * np.cos(x0) + s)
+
+
+def plateau_rows(X):
+    """A concave hill cut flat at -30: no gradient on the plateau, and no
+    strictly better step onto it."""
+    return np.maximum(-np.sum((X - np.array([2.5, 7.5])) ** 2, axis=1), -30.0)
+
+
+def minus_inf_rows(X):
+    """A concave hill that reads -inf right of x0 = 6, its peak inside that region."""
+    hill = -np.sum((X - np.array([5.0, 7.5])) ** 2, axis=1)
+    return np.where(X[:, 0] > 6.0, -np.inf, hill)
+
+
+class _Replay:
+    """An rng stand-in whose uniform draws replay the given points."""
+
+    def __init__(self, points):
+        self.points = iter(points)
+
+    def uniform(self, lower, upper):
+        return next(self.points)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")
 class TestLocalAscent:
+    @pytest.mark.parametrize("surface", [neg_branin_rows, plateau_rows, minus_inf_rows],
+                             ids=["branin", "plateau", "minus-inf"])
+    @pytest.mark.parametrize("restarts", [1, 3, 10])
+    @pytest.mark.parametrize("max_steps", [0, 1, 5, 200])
+    def test_matches_sequential_reference(self, surface, restarts, max_steps):
+        for seed in range(6):
+            got = local_ascent(BRANIN_SPACE, surface, np.random.default_rng(seed),
+                               restarts=restarts, max_steps=max_steps)
+            want = sequential_local_ascent(BRANIN_SPACE, surface, np.random.default_rng(seed),
+                                           restarts=restarts, max_steps=max_steps)
+            if want is None:
+                # every restart ended at -inf, where the reference returned no point;
+                # the lockstep ascent returns the first restart's point
+                first = bench.sample_uniform(BRANIN_SPACE, np.random.default_rng(seed))
+                assert surface(got[None])[0] == -np.inf
+                assert np.array_equal(got, first)
+            else:
+                assert np.array_equal(got, want)
+
+    def test_minus_inf_cases_include_a_winner_and_no_winner(self):
+        outcomes = {sequential_local_ascent(BRANIN_SPACE, minus_inf_rows,
+                                            np.random.default_rng(seed), restarts=1) is None
+                    for seed in range(6)}
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("surface", [neg_branin_rows, plateau_rows, minus_inf_rows],
+                             ids=["branin", "plateau", "minus-inf"])
+    def test_one_call_per_round(self, surface):
+        rng = np.random.default_rng(3)
+        starts = [bench.sample_uniform(BRANIN_SPACE, rng) for _ in range(10)]
+        singles = []
+        for start in starts:
+            counted = bench._CountingObjective(surface)
+            sequential_local_ascent(BRANIN_SPACE, counted, _Replay([start]), restarts=1)
+            singles.append(counted.count)
+        counted = bench._CountingObjective(surface)
+        local_ascent(BRANIN_SPACE, counted, np.random.default_rng(3), restarts=10)
+        assert max(singles) > 1
+        assert counted.count <= 1 + max(singles)
+
+    def test_zero_steps_returns_best_start_without_probes(self):
+        counted = bench._CountingObjective(neg_branin_rows)
+        best = local_ascent(BRANIN_SPACE, counted, np.random.default_rng(0), restarts=5, max_steps=0)
+        rng = np.random.default_rng(0)
+        starts = np.array([bench.sample_uniform(BRANIN_SPACE, rng) for _ in range(5)])
+        assert counted.count == 1
+        assert np.array_equal(best, starts[np.argmax(neg_branin_rows(starts))])
+
+    def test_negative_max_steps_rejected(self):
+        with pytest.raises(InvalidMethodParamsError):
+            local_ascent(BRANIN_SPACE, neg_branin_rows, np.random.default_rng(0), max_steps=-1)
+        with pytest.raises(InvalidMethodParamsError):
+            MethodSpec(LOCAL_BO, max_steps=-1)
+
     def test_concave_quadratic_closed_form(self):
         space = SearchSpace([Dimension("a", REAL, -2, 4), Dimension("b", REAL, -2, 4)])
         target = np.array([1.3, 0.7])

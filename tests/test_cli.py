@@ -363,10 +363,41 @@ def _experiment(*methods):
     ("compare", {"experiment": _experiment({"kind": "random_search"},
                                            {"kind": "pso_bo", "pso": {"patience": "long"}})},
      "experiment.methods[1].pso.patience: expected an integer, got 'long'"),
+    ("sweep", {"sweep": {"omegas": ["fast"], "seeds": [0], "budget": 8}},
+     "sweep.omegas[0]: expected a number, got 'fast'"),
+    ("sweep", {"sweep": {"omegas": [0.5], "seeds": 3, "budget": 8}},
+     "sweep.seeds: expected a list, got 3"),
+    ("sweep", {"sweep": {"omegas": [0.5], "seeds": [0], "budget": "8"}},
+     "sweep.budget: expected an integer, got '8'"),
+    ("compare", {"experiment": {**_experiment({"kind": "random_search"}, {"kind": "pso_bo"}),
+                                "seeds": [0, 1.5]}},
+     "experiment.seeds[1]: expected an integer, got 1.5"),
+    ("compare", {"experiment": {**_experiment({"kind": "random_search"}, {"kind": "pso_bo"}),
+                                "budget": 8.0}},
+     "experiment.budget: expected an integer, got 8.0"),
+    ("run", {"objective": {"name": "sphere", "dims": "two"}},
+     "objective.dims: expected an integer, got 'two'"),
+    ("run", {"objective": {"name": "sphere", "dims": 1, "noise_std": "low"}},
+     "objective.noise_std: expected a number, got 'low'"),
+    ("compare", {"experiment": _experiment({"kind": "random_search"},
+                                           {"kind": "local_bo", "restarts": "many"})},
+     "experiment.methods[1].restarts: expected an integer, got 'many'"),
+    ("compare", {"experiment": _experiment({"kind": "random_search"},
+                                           {"kind": "local_bo", "max_steps": 2.5})},
+     "experiment.methods[1].max_steps: expected an integer, got 2.5"),
+    ("compare", {"experiment": _experiment({"kind": "pso_bo"},
+                                           {"kind": "grid_search", "points_per_dim": "ten"})},
+     "experiment.methods[1].points_per_dim: expected an integer, got 'ten'"),
+    ("compare", {"experiment": _experiment({"kind": "random_search"},
+                                           {"kind": "local_bo", "max_steps": -1})},
+     "local_bo needs max_steps >= 0"),
 ], ids=["inverted-gp-bound", "one-element-gp-bound", "scalar-gp-bound", "unstable-method-pso",
         "grid-over-cap-after-pso_bo", "inverted-space-dim", "negative-noise-var",
         "string-omega", "bool-c1", "string-population", "float-max-iters", "string-gamma",
-        "string-noise-var", "string-init-count", "string-method-patience"])
+        "string-noise-var", "string-init-count", "string-method-patience",
+        "string-sweep-omega", "scalar-sweep-seeds", "string-sweep-budget", "float-experiment-seed",
+        "float-experiment-budget", "string-dims", "string-noise-std", "string-restarts",
+        "float-max-steps", "string-points-per-dim", "negative-max-steps"])
 def test_config_error_exits_2_before_any_evaluation(tmp_path, capsys, monkeypatch,
                                                      command, raw, cause):
     calls = []

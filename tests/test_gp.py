@@ -208,6 +208,33 @@ class TestFitAndPredict:
                 assert post.var / model.y_std**2 == pytest.approx(max(var, 0.0), abs=1e-8)
 
 
+    def test_batched_predict_matches_scipy_solve(self):
+        # the direct trtrs call gives the bits of scipy's checked solve_triangular
+        from scipy.linalg import solve_triangular
+
+        rng = np.random.default_rng(6)
+        space = SearchSpace([Dimension("a", REAL, -5, 10), Dimension("b", REAL, 0, 15)])
+        params = KernelParams(theta0=1.7, lengthscales=[0.3, 0.6], noise_var=1e-4)
+        model = fit_model(space, rng.uniform([-5, 0], [10, 15], (20, 2)), rng.normal(size=20), params)
+        for n in (1, 2, 7, 40):
+            x = rng.uniform([-5, 0], [10, 15], (n, 2))
+            k = gp._kernel(model.train_x, gp._normalize(space, x), params.theta0, params.lengthscales)
+            v = solve_triangular(model.chol, k, lower=True)
+            var = np.maximum(params.theta0 - np.sum(v * v, axis=0), 0.0) * model.y_std**2
+            mean = (k.T @ model.alpha) * model.y_std + model.y_mean
+            post = predict(model, x)
+            assert np.array_equal(post.mean, mean) and np.array_equal(post.var, var)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_query_rejected(self, bad):
+        params = KernelParams(theta0=1.0, lengthscales=[0.5, 0.5], noise_var=0.0)
+        model = fit_model(unit_box(2), [[0.2, 0.3], [0.7, 0.1]], [1.0, 2.0], params)
+        with pytest.raises(InvalidParamsError, match="query points must be finite"):
+            predict(model, [0.5, bad])
+        with pytest.raises(InvalidParamsError, match="query points must be finite"):
+            predict(model, [[0.5, 0.5], [bad, 0.5]])
+
+
 class TestLogMarginalLikelihood:
     def test_single_zero_observation(self):
         # standardized y = 0, theta0 + noise = 1 -> -0.5*log(2*pi)
