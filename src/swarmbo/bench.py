@@ -112,6 +112,9 @@ class ObjectiveSpec:
             raise ValueError("dims must be at least 1")
         if self.noise_std < 0:
             raise ValueError("noise_std must be non-negative")
+        if not isinstance(self.negate, (bool, np.bool_)):
+            # a string such as "no" would otherwise test true
+            raise ValueError(f"negate must be a bool, got {self.negate!r}")
 
 
 def default_space(spec: ObjectiveSpec) -> SearchSpace:
@@ -386,6 +389,9 @@ def _run_cells(methods: list[MethodSpec], seeds: list[int],
     """
     if not seeds:
         raise ValueError("need at least one seed")
+    if len(set(seeds)) != len(seeds):
+        # cells are keyed by (method, seed): a repeated seed would be one cell
+        raise ValueError(f"duplicate seeds in {list(seeds)}")
     if budget <= config.init_count and any(m.kind in (PSO_BO, LOCAL_BO) for m in methods):
         raise ValueError("budget must exceed the initial-design size")
     for m in methods:

@@ -120,7 +120,9 @@ def init_design(config: BoConfig, objective, rng: np.random.Generator) -> Observ
     return history
 
 
-def _fit_surrogate(config: BoConfig, history: ObservationHistory, t: int) -> gp.GpModel:
+def _fit_surrogate(config: BoConfig, history: ObservationHistory, t: int,
+                   start: gp.KernelParams | None = None) -> gp.GpModel:
+    """The GP over the history, its hyperparameter swarm seeded with `start`."""
     xs = history.points
     ys = history.values
     if len(history) < 2:
@@ -129,23 +131,27 @@ def _fit_surrogate(config: BoConfig, history: ObservationHistory, t: int) -> gp.
     else:
         params = gp.fit_hyperparams(
             config.space, xs, ys, component_rng(config.seed, f"gpfit:{t}"),
-            bounds=config.gp_bounds, noise_var=config.noise_var,
+            bounds=config.gp_bounds, noise_var=config.noise_var, start=start,
         )
     return gp.fit_model(config.space, xs, ys, params)
 
 
 def propose_next(config: BoConfig, history: ObservationHistory, t: int,
-                 maximizer=None) -> np.ndarray:
+                 maximizer=None, start: gp.KernelParams | None = None,
+                 ) -> tuple[np.ndarray, gp.KernelParams | None]:
     """Fit the surrogate and maximize the acquisition over the search space.
 
+    Returns (point, kernel params): the surrogate's params, or `start` itself
+    if the surrogate could not be factorized and the point is a random one.
+    `start` warm-starts the hyperparameter fit (see gp.fit_hyperparams).
     `maximizer(space, surface, seed_tag)` may replace the swarm (used by the
     local-ascent baseline); the surface is vectorized over row-batches.
     """
     try:
-        model = _fit_surrogate(config, history, t)
+        model = _fit_surrogate(config, history, t, start=start)
     except gp.FactorizationFailureError:
         log.warning("surrogate factorization failed at step %d; falling back to random point", t)
-        return sample_uniform(config.space, component_rng(config.seed, f"fallback:{t}"))
+        return sample_uniform(config.space, component_rng(config.seed, f"fallback:{t}")), start
 
     spec = replace(config.acquisition, incumbent=float(np.max(history.values)))
 
@@ -153,26 +159,36 @@ def propose_next(config: BoConfig, history: ObservationHistory, t: int,
         return evaluate(spec, model, X)
 
     if maximizer is not None:
-        return maximizer(config.space, surface, f"inner:{t}")
+        return maximizer(config.space, surface, f"inner:{t}"), model.params
     result = run_pso(config.space, config.pso, surface, component_rng(config.seed, f"pso:{t}"))
-    return result.best_position
+    return result.best_position, model.params
 
 
 def bo_step(history: ObservationHistory, config: BoConfig, objective, t: int,
-            maximizer=None) -> Observation:
-    """One surrogate refresh + acquisition maximization + observation."""
-    x_next = propose_next(config, history, t, maximizer=maximizer)
+            maximizer=None, start: gp.KernelParams | None = None,
+            ) -> tuple[Observation, gp.KernelParams | None]:
+    """One surrogate refresh + acquisition maximization + observation.
+
+    Returns (observation, kernel params to warm-start the next step's fit).
+    """
+    x_next, params = propose_next(config, history, t, maximizer=maximizer, start=start)
     obs = _observe(config.space, objective, x_next, len(history), t, BO)
     history.records.append(obs)
-    return obs
+    return obs, params
 
 
 def run_bo(config: BoConfig, objective, maximizer=None) -> BoResult:
-    """Initial design followed by `iterations` sequential BO steps."""
+    """Initial design followed by `iterations` sequential BO steps.
+
+    Each step's hyperparameter fit starts from the previous step's kernel
+    params. They are carried here, per run, so a run's result does not depend
+    on which other runs share the process.
+    """
     history = init_design(config, objective, component_rng(config.seed, "init"))
     trace = [float(np.max(history.values))]
+    params = None
     for t in range(1, config.iterations + 1):
-        bo_step(history, config, objective, t, maximizer=maximizer)
+        _, params = bo_step(history, config, objective, t, maximizer=maximizer, start=params)
         trace.append(max(trace[-1], history.records[-1].y))
     best = history.best()
     return BoResult(

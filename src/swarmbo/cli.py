@@ -58,9 +58,9 @@ _SECTION_KEYS = {
 _SPACE_DIM_KEYS = {"name", "type", "lower", "upper"}
 _METHOD_KEYS = {f.name for f in fields(bench.MethodSpec)}
 # keys whose values must be real numbers (not bool); _INTEGER_KEYS must be
-# integers, and _LIST_KEYS lists of them
-_NUMBER_KEYS = {
-    "objective": {"dims", "noise_std"},
+# integers, _BOOL_KEYS bools, and _LIST_KEYS lists of them
+_TYPED_KEYS = {
+    "objective": {"dims", "noise_std", "negate"},
     "acquisition": {"gamma", "xi"},
     "pso": _SECTION_KEYS["pso"],
     "bo": _SECTION_KEYS["bo"],
@@ -70,6 +70,7 @@ _NUMBER_KEYS = {
 }
 _INTEGER_KEYS = {"population", "max_iters", "patience", "dims", "seeds", "budget",
                  "restarts", "max_steps", "points_per_dim"}
+_BOOL_KEYS = {"negate"}
 _LIST_KEYS = {"omegas", "seeds"}
 
 
@@ -81,12 +82,17 @@ def _check_keys(mapping, allowed, where):
         raise ConfigError(f"{where}: unknown key(s) {sorted(unknown)}")
 
 
-def _check_numbers(mapping, section, where):
-    for key in sorted(_NUMBER_KEYS[section] & set(mapping)):
+def _check_types(mapping, section, where):
+    for key in sorted(_TYPED_KEYS[section] & set(mapping)):
         value = mapping[key]
         if key == "noise_var" and value is None:
             continue  # null: fit the noise
-        kind, number = ("an integer", Integral) if key in _INTEGER_KEYS else ("a number", Real)
+        if key in _BOOL_KEYS:
+            kind, number = "a bool", bool
+        elif key in _INTEGER_KEYS:
+            kind, number = "an integer", Integral
+        else:
+            kind, number = "a number", Real
         if key in _LIST_KEYS:
             if not isinstance(value, list):
                 raise ConfigError(f"{where}.{key}: expected a list, got {value!r}")
@@ -94,7 +100,7 @@ def _check_numbers(mapping, section, where):
         else:
             items = [(f"{where}.{key}", value)]
         for name, v in items:
-            if isinstance(v, bool) or not isinstance(v, number):
+            if isinstance(v, bool) != (number is bool) or not isinstance(v, number):
                 raise ConfigError(f"{name}: expected {kind}, got {v!r}")
 
 
@@ -112,8 +118,8 @@ def load_config(path) -> dict:
     for section, keys in _SECTION_KEYS.items():
         if section in raw and raw[section] is not None:
             _check_keys(raw[section], keys, section)
-            if section in _NUMBER_KEYS:
-                _check_numbers(raw[section], section, section)
+            if section in _TYPED_KEYS:
+                _check_types(raw[section], section, section)
     return raw
 
 
@@ -162,11 +168,11 @@ def _parse_methods(entries) -> list[bench.MethodSpec]:
         _check_keys(entry, _METHOD_KEYS, f"experiment.methods[{i}]")
         if "kind" not in entry:
             raise ConfigError(f"experiment.methods[{i}]: missing key 'kind'")
-        _check_numbers(entry, "method", f"experiment.methods[{i}]")
+        _check_types(entry, "method", f"experiment.methods[{i}]")
         kwargs = dict(entry)
         if "pso" in kwargs and kwargs["pso"] is not None:
             _check_keys(kwargs["pso"], _SECTION_KEYS["pso"], f"experiment.methods[{i}].pso")
-            _check_numbers(kwargs["pso"], "pso", f"experiment.methods[{i}].pso")
+            _check_types(kwargs["pso"], "pso", f"experiment.methods[{i}].pso")
             kwargs["pso"] = PsoParams(**kwargs["pso"])
         methods.append(bench.MethodSpec(**kwargs))
     return methods

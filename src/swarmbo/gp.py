@@ -218,10 +218,14 @@ _FIT_PSO = PsoParams(population=16, max_iters=40, patience=8)
 
 
 def fit_hyperparams(space: SearchSpace, xs, ys, rng: np.random.Generator,
-                    bounds: FitBounds = FitBounds(), noise_var: float | None = None) -> KernelParams:
+                    bounds: FitBounds = FitBounds(), noise_var: float | None = None,
+                    start: KernelParams | None = None) -> KernelParams:
     """Maximize the log marginal likelihood over log10 kernel hyperparameters.
 
     `noise_var`, if given, pins the noise variance instead of fitting it.
+    `start`, if given, puts the swarm's particle 0 at its log10 values (clamped
+    to `bounds`; its noise is used only when the noise is fitted), so the
+    result's LML is at least the LML there.
     """
     X, y, _, _ = _standardize(space, xs, ys)
     d = X.shape[1]
@@ -257,7 +261,12 @@ def fit_hyperparams(space: SearchSpace, xs, ys, rng: np.random.Generator,
             out[i] = _lml(y, L, alpha)
         return out
 
-    result = run_pso(hyper_space, _FIT_PSO, lml, rng)
+    z0 = None
+    if start is not None:
+        z0 = [start.theta0, *start.lengthscales] + ([start.noise_var] if fit_noise else [])
+        with np.errstate(divide="ignore"):  # a zero noise goes to the lower bound
+            z0 = np.log10(z0)
+    result = run_pso(hyper_space, _FIT_PSO, lml, rng, start=z0)
     if not np.isfinite(result.best_fitness):
         # every candidate failed to factorize
         return fallback_params(d, noise_var)

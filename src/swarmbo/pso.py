@@ -76,12 +76,21 @@ class SwarmState:
 
 
 def init_swarm(space: SearchSpace, params: PsoParams, fitness,
-               rng: np.random.Generator) -> SwarmState:
-    """Random positions in the box, velocities uniform in [-vmax, vmax]."""
+               rng: np.random.Generator, start=None) -> SwarmState:
+    """Random positions in the box, velocities uniform in [-vmax, vmax].
+
+    `start`, if given, replaces particle 0's position, clamped to the box. It
+    is placed after the draws, so the random streams and every other particle
+    are the same as without it.
+    """
     m, d = params.population, space.dim
     positions = rng.uniform(space.lower, space.upper, size=(m, d))
     vmax = params.vmax_fraction * space.ranges
     velocities = rng.uniform(-vmax, vmax, size=(m, d))
+    if start is not None:
+        positions[0] = clamp(space, start)
+        if np.isnan(positions[0]).any():
+            raise ValueError(f"start must not be NaN, got {start!r}")
     fit = np.asarray(fitness(positions), dtype=float)
     best = int(np.argmax(fit))
     return SwarmState(
@@ -139,9 +148,13 @@ class PsoResult:
     trace: np.ndarray = field(repr=False)  # per-iteration global best
 
 
-def run_pso(space: SearchSpace, params: PsoParams, fitness, rng: np.random.Generator) -> PsoResult:
-    """Maximize `fitness` over the box; stops early after `patience` stagnant iterations."""
-    state = init_swarm(space, params, fitness, rng)
+def run_pso(space: SearchSpace, params: PsoParams, fitness, rng: np.random.Generator,
+            start=None) -> PsoResult:
+    """Maximize `fitness` over the box; stops early after `patience` stagnant iterations.
+
+    `start` seeds particle 0 (see init_swarm).
+    """
+    state = init_swarm(space, params, fitness, rng, start=start)
     trace = [state.global_best_fitness]
     stagnant = 0
     for _ in range(params.max_iters):

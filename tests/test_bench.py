@@ -62,6 +62,11 @@ class TestObjectives:
         with pytest.raises(ValueError):
             ObjectiveSpec("branin", dims=3)
 
+    @pytest.mark.parametrize("negate", ["no", "false", 0, 1, None])
+    def test_negate_must_be_a_bool(self, negate):
+        with pytest.raises(ValueError, match="negate must be a bool"):
+            ObjectiveSpec("sphere", dims=1, negate=negate)
+
     def test_noise_is_seeded(self):
         spec = ObjectiveSpec("sphere", dims=1, noise_std=0.5)
         a = eval_objective(spec, np.zeros(1), np.random.default_rng(5))
@@ -366,6 +371,15 @@ class TestRunExperiment:
             run_experiment(methods, spec, [0, 1], budget=8)
         assert made == []  # checked before any cell runs
 
+    def test_duplicate_seeds_rejected(self, monkeypatch):
+        spec = ObjectiveSpec("sphere", dims=1, negate=True)
+        made = []
+        monkeypatch.setattr(bench, "make_objective", lambda *args: made.append(args))
+        with pytest.raises(ValueError, match=r"duplicate seeds in \[0, 1, 0\]"):
+            run_experiment([MethodSpec(RANDOM_SEARCH), MethodSpec(PSO_BO)], spec, [0, 1, 0],
+                           budget=8)
+        assert made == []  # checked before any cell runs
+
     def test_needs_two_seeds(self):
         spec = ObjectiveSpec("sphere", dims=1, negate=True)
         with pytest.raises(ValueError):
@@ -402,6 +416,14 @@ class TestOmegaSweep:
         rows = omega_sweep(spec, [0.5, 0.9], [3], budget=8)
         assert [w for w, _ in rows] == [0.5, 0.9]
         assert all(np.isfinite(ave) for _, ave in rows)
+
+    def test_duplicate_seeds_rejected(self, monkeypatch):
+        spec = ObjectiveSpec("sphere", dims=1, negate=True)
+        made = []
+        monkeypatch.setattr(bench, "make_objective", lambda *args: made.append(args))
+        with pytest.raises(ValueError, match=r"duplicate seeds in \[3, 3\]"):
+            omega_sweep(spec, [0.5], [3, 3], budget=8)
+        assert made == []
 
     def test_any_failed_cell_fails_the_sweep(self, monkeypatch):
         spec = ObjectiveSpec("sphere", dims=1, negate=True)

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from swarmbo import gp
 from swarmbo.acquisition import AcquisitionSpec
-from swarmbo.bench import ObjectiveSpec, default_space, make_objective
+from swarmbo.bench import ObjectiveSpec, default_space, make_objective, run_local_bo
 from swarmbo.boloop import (
     BO,
     BoConfig,
@@ -96,9 +97,10 @@ class TestBoStep:
         config = quick_config(init_count=6, seed=11)
         f = lambda x: -(x[0] - 0.35) ** 2
         history = self._history(config, f)
-        chosen = propose_next(config, history, t=1)
+        chosen, params = propose_next(config, history, t=1)
 
         model = _fit_surrogate(config, history, t=1)
+        assert params == model.params
         spec = replace(config.acquisition, incumbent=float(np.max(history.values)))
         grid = np.linspace(0, 1, 10_000)[:, None]
         grid_best = float(np.max(evaluate(spec, model, grid)))
@@ -185,6 +187,73 @@ class TestRunBo:
         result = run_bo(config, lambda x: -abs(x[0] - 7) - (x[1] - 0.5) ** 2)
         assert result.best_point[0] == int(result.best_point[0])
         assert 0 <= result.best_point[1] <= 1
+
+
+class TestWarmStart:
+    """run_bo starts each step's hyperparameter fit from the previous step's params."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        """Record (start, first particle, fitted params) of every hyperparameter fit."""
+        fits = []
+        real_fit, real_pso = gp.fit_hyperparams, gp.run_pso
+
+        def fit_hyperparams(*args, **kwargs):
+            fits.append({"start": kwargs.get("start")})
+            fits[-1]["fitted"] = real_fit(*args, **kwargs)
+            return fits[-1]["fitted"]
+
+        def run_pso(space, params, fitness, rng, **kw):
+            def first(Z):
+                fits[-1].setdefault("particle0", Z[0].copy())
+                return fitness(Z)
+            return real_pso(space, params, first, rng, **kw)
+
+        monkeypatch.setattr(gp, "fit_hyperparams", fit_hyperparams)
+        monkeypatch.setattr(gp, "run_pso", run_pso)
+        return fits
+
+    @pytest.mark.parametrize("noise_var", [None, 1e-4], ids=["fitted-noise", "pinned-noise"])
+    def test_step_t_starts_at_step_t_minus_1(self, monkeypatch, noise_var):
+        fits = self.spy(monkeypatch)
+        space = SearchSpace([Dimension("a", REAL, -5, 10), Dimension("b", REAL, 0, 15)])
+        config = BoConfig(space=space, init_count=4, iterations=5, seed=2, noise_var=noise_var)
+        run_bo(config, lambda x: -float(np.sum((x - 1.0) ** 2)))
+        assert len(fits) == 5
+        assert fits[0]["start"] is None
+        for prev, fit in zip(fits, fits[1:]):
+            assert fit["start"] is prev["fitted"]
+            p = prev["fitted"]
+            expected = [np.log10(p.theta0), *np.log10(p.lengthscales)]
+            if noise_var is None:
+                expected.append(np.log10(p.noise_var))
+            assert np.array_equal(fit["particle0"], expected)
+
+    def test_failed_step_keeps_the_earlier_start(self, monkeypatch):
+        fits = self.spy(monkeypatch)
+        real = gp.fit_model
+        calls = []
+
+        def fit_model(*args):
+            calls.append(1)
+            if len(calls) == 2:
+                raise gp.FactorizationFailureError("forced")
+            return real(*args)
+
+        monkeypatch.setattr(gp, "fit_model", fit_model)
+        config = quick_config(init_count=4, iterations=3)
+        result = run_bo(config, lambda x: float(np.sin(5 * x[0])))
+        assert result.n_evaluations == 7
+        assert [f["start"] is None for f in fits] == [True, False, False]
+        assert fits[1]["start"] is fits[0]["fitted"]
+        assert fits[2]["start"] is fits[0]["fitted"]  # step 2's surrogate failed
+
+    def test_local_bo_is_warm_started_too(self, monkeypatch):
+        fits = self.spy(monkeypatch)
+        run_local_bo(quick_config(init_count=3, iterations=3), lambda x: float(x[0]),
+                     restarts=2, max_steps=5)
+        assert fits[0]["start"] is None
+        assert all(f["start"] is prev["fitted"] for prev, f in zip(fits, fits[1:]))
 
 
 class TestConfigValidation:

@@ -391,13 +391,24 @@ def _experiment(*methods):
     ("compare", {"experiment": _experiment({"kind": "random_search"},
                                            {"kind": "local_bo", "max_steps": -1})},
      "local_bo needs max_steps >= 0"),
+    ("run", {"objective": {**SPHERE_1D, "negate": "no"}},
+     "objective.negate: expected a bool, got 'no'"),
+    ("compare", {"objective": {**SPHERE_1D, "negate": 1},
+                 "experiment": _experiment({"kind": "random_search"}, {"kind": "pso_bo"})},
+     "objective.negate: expected a bool, got 1"),
+    ("compare", {"experiment": {**_experiment({"kind": "random_search"}, {"kind": "pso_bo"}),
+                                "seeds": [0, 0]}},
+     "duplicate seeds in [0, 0]"),
+    ("sweep", {"sweep": {"omegas": [0.5], "seeds": [1, 2, 1], "budget": 8}},
+     "duplicate seeds in [1, 2, 1]"),
 ], ids=["inverted-gp-bound", "one-element-gp-bound", "scalar-gp-bound", "unstable-method-pso",
         "grid-over-cap-after-pso_bo", "inverted-space-dim", "negative-noise-var",
         "string-omega", "bool-c1", "string-population", "float-max-iters", "string-gamma",
         "string-noise-var", "string-init-count", "string-method-patience",
         "string-sweep-omega", "scalar-sweep-seeds", "string-sweep-budget", "float-experiment-seed",
         "float-experiment-budget", "string-dims", "string-noise-std", "string-restarts",
-        "float-max-steps", "string-points-per-dim", "negative-max-steps"])
+        "float-max-steps", "string-points-per-dim", "negative-max-steps", "string-negate",
+        "integer-negate", "duplicate-experiment-seeds", "duplicate-sweep-seeds"])
 def test_config_error_exits_2_before_any_evaluation(tmp_path, capsys, monkeypatch,
                                                      command, raw, cause):
     calls = []

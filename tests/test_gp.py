@@ -16,7 +16,7 @@ from swarmbo.gp import (
     matern52,
     predict,
 )
-from swarmbo.space import Dimension, REAL, SearchSpace
+from swarmbo.space import Dimension, DimensionMismatchError, REAL, SearchSpace
 
 # frozen with mpmath at 30 digits: (1 + sqrt(5) + 5/3) * exp(-sqrt(5))
 MATERN52_AT_UNIT_R2 = 0.523994108831820310592713250761
@@ -349,8 +349,8 @@ class TestHyperparamScorer:
     def scorer(monkeypatch, space, xs, ys, noise_var=None):
         handed = []
         real = gp.run_pso
-        monkeypatch.setattr(gp, "run_pso", lambda hyper_space, params, fitness, rng:
-                            handed.append(fitness) or real(hyper_space, params, fitness, rng))
+        monkeypatch.setattr(gp, "run_pso", lambda hyper_space, params, fitness, rng, **kw:
+                            handed.append(fitness) or real(hyper_space, params, fitness, rng, **kw))
         fit_hyperparams(space, xs, ys, np.random.default_rng(0), noise_var=noise_var)
         return handed[0]
 
@@ -455,8 +455,9 @@ class TestHyperparamScorer:
         shapes, traces = [], []
         real = gp.run_pso
 
-        def recording(hyper_space, params, fitness, rng):
-            result = real(hyper_space, params, lambda Z: shapes.append(Z.shape) or fitness(Z), rng)
+        def recording(hyper_space, params, fitness, rng, **kw):
+            result = real(hyper_space, params, lambda Z: shapes.append(Z.shape) or fitness(Z), rng,
+                          **kw)
             traces.append(result.trace)
             return result
 
@@ -475,6 +476,66 @@ class TestHyperparamScorer:
         fit_hyperparams(unit_box(), [[0.1], [0.5], [0.9]], [0.0, 1.0, 0.5],
                         np.random.default_rng(0))
         assert calls == []
+
+
+class TestWarmStart:
+    """fit_hyperparams(start=p) scores particle 0 at p's log10 values first."""
+
+    @staticmethod
+    def first_batch(monkeypatch, space, xs, ys, start, noise_var=None, seed=0):
+        """(the swarm's first fitness batch, the scorer, the fitted params)."""
+        batches, scorers = [], []
+        real = gp.run_pso
+
+        def spy(hyper_space, params, fitness, rng, **kw):
+            scorers.append(fitness)
+            return real(hyper_space, params,
+                        lambda Z: batches.append(Z.copy()) or fitness(Z), rng, **kw)
+
+        monkeypatch.setattr(gp, "run_pso", spy)
+        fitted = fit_hyperparams(space, xs, ys, np.random.default_rng(seed),
+                                 noise_var=noise_var, start=start)
+        return batches[0], scorers[0], fitted
+
+    @pytest.mark.parametrize("noise_var", [None, 1e-3], ids=["fitted-noise", "pinned-noise"])
+    def test_particle_zero_is_start_log10(self, monkeypatch, noise_var):
+        rng = np.random.default_rng(30)
+        space = unit_box(2)
+        xs, ys = rng.random((8, 2)), rng.normal(size=8)
+        start = KernelParams(theta0=2.5, lengthscales=[0.3, 0.07], noise_var=1e-4)
+        Z, _, _ = self.first_batch(monkeypatch, space, xs, ys, start, noise_var)
+        expected = [np.log10(2.5), np.log10(0.3), np.log10(0.07)]
+        if noise_var is None:
+            expected.append(np.log10(1e-4))
+        assert np.array_equal(Z[0], expected)
+        cold, _, _ = self.first_batch(monkeypatch, space, xs, ys, None, noise_var)
+        assert np.array_equal(Z[1:], cold[1:])
+
+    def test_start_outside_bounds_is_clamped(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        xs, ys = rng.random((6, 1)), rng.normal(size=6)
+        start = KernelParams(theta0=1e6, lengthscales=[1e-5], noise_var=0.0)
+        Z, _, _ = self.first_batch(monkeypatch, unit_box(), xs, ys, start)
+        assert np.array_equal(Z[0], [3.0, -2.0, -8.0])  # FitBounds' upper, lower, lower
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_lml_never_below_start(self, monkeypatch, seed):
+        rng = np.random.default_rng(40 + seed)
+        space = unit_box(2)
+        xs, ys = rng.random((10, 2)), np.sin(6 * rng.random(10)) + 0.1 * rng.normal(size=10)
+        start = KernelParams(theta0=10.0 ** rng.uniform(-3, 3),
+                             lengthscales=10.0 ** rng.uniform(-2, 2, size=2),
+                             noise_var=10.0 ** rng.uniform(-8, 0))
+        Z, scorer, fitted = self.first_batch(monkeypatch, space, xs, ys, start, seed=seed)
+        at_start = TestHyperparamScorer.reference(space, xs, ys, Z[:1])[0]
+        assert scorer(Z[:1])[0] == at_start
+        assert log_marginal_likelihood(fit_model(space, xs, ys, fitted)) >= at_start
+
+    def test_wrong_dimension_start_rejected(self):
+        start = KernelParams(theta0=1.0, lengthscales=[0.5, 0.5], noise_var=1e-6)
+        with pytest.raises(DimensionMismatchError):
+            fit_hyperparams(unit_box(), [[0.1], [0.9]], [0.0, 1.0], np.random.default_rng(0),
+                            start=start)
 
 
 class TestNonFiniteData:

@@ -69,6 +69,52 @@ class TestInitSwarm:
         assert a.global_best_fitness == b.global_best_fitness
 
 
+class TestWarmStart:
+    """`start` overwrites particle 0 after the draws and changes nothing else."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.floats(-10, 10, allow_nan=False), min_size=3, max_size=3),
+           st.integers(0, 2**32 - 1))
+    def test_only_particle_zero_moves(self, start, seed):
+        space = box(-2, 2, d=3)
+        f = lambda X: -np.sum(X**2, axis=1)
+        rng_cold, rng_warm = np.random.default_rng(seed), np.random.default_rng(seed)
+        cold = init_swarm(space, PsoParams(), f, rng_cold)
+        warm = init_swarm(space, PsoParams(), f, rng_warm, start=start)
+        assert np.array_equal(warm.positions[0], np.clip(start, -2, 2))
+        assert np.array_equal(warm.positions[1:], cold.positions[1:])
+        assert np.array_equal(warm.velocities, cold.velocities)
+        assert rng_warm.bit_generator.state == rng_cold.bit_generator.state
+
+    def test_run_pso_scores_start_first_and_draws_the_same_numbers(self):
+        space = box(0, 1, d=2)
+        batches = {}
+        rngs = {}
+        for label, start in (("cold", None), ("warm", [0.25, 7.0])):  # 7.0 is outside the box
+            batches[label] = []
+            rngs[label] = np.random.default_rng(5)
+            fitness = lambda X, out=batches[label]: out.append(X.copy()) or np.full(len(X), 1.0)
+            run_pso(space, PsoParams(population=6, patience=3), fitness, rngs[label], start=start)
+        first_cold, first_warm = batches["cold"][0], batches["warm"][0]
+        assert np.array_equal(first_warm[0], [0.25, 1.0])
+        assert np.array_equal(first_warm[1:], first_cold[1:])
+        # a constant fitness stops both runs after `patience` steps
+        assert len(batches["warm"]) == len(batches["cold"]) == 1 + 3
+        assert rngs["warm"].bit_generator.state == rngs["cold"].bit_generator.state
+
+    def test_start_is_never_lost(self):
+        space = box(-5, 5, d=2)
+        f = lambda X: -np.sum((X - 1.234) ** 2, axis=1)
+        result = run_pso(space, PsoParams(population=4, max_iters=2), f,
+                         np.random.default_rng(0), start=[1.234, 1.234])
+        assert result.best_fitness == 0.0
+        assert np.array_equal(result.best_position, [1.234, 1.234])
+
+    def test_nan_start_rejected(self):
+        with pytest.raises(ValueError, match="start must not be NaN"):
+            init_swarm(box(0, 1), PsoParams(), lambda X: X[:, 0], np.random.default_rng(0),
+                       start=[float("nan")])
+
 
 class _OnesRng:
     """Stand-in rng pinning r1 = r2 = 1."""
