@@ -18,8 +18,10 @@ import json
 import os
 import socket
 import sys
+import types
+import typing
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import fields
+from dataclasses import MISSING, fields, is_dataclass, make_dataclass
 from numbers import Integral, Real
 from pathlib import Path
 
@@ -44,67 +46,75 @@ class ConfigError(Exception):
     pass
 
 
-_TOP_KEYS = {"objective", "space", "acquisition", "pso", "gp", "bo",
-             "experiment", "sweep", "seed", "output_dir"}
-_SECTION_KEYS = {
-    "objective": {f.name for f in fields(bench.ObjectiveSpec)},
-    "acquisition": {"kind", "gamma", "xi"},  # AcquisitionSpec's `incumbent` is loop state
-    "pso": {f.name for f in fields(PsoParams)},
-    "gp": {f.name for f in fields(FitBounds)},
-    "bo": {"init_count", "iterations", "noise_var"},
-    "experiment": {"methods", "seeds", "budget"},
-    "sweep": {"omegas", "seeds", "budget"},
+def _hints(cls, *keys) -> dict:
+    """The annotated types of a dataclass's fields `keys`."""
+    hints = typing.get_type_hints(cls)
+    return {key: hints[key] for key in keys}
+
+
+# The config schema: each top-level key's kind, in the vocabulary of _check. The
+# dataclass sections take their keys and types from the class the section builds.
+_SECTIONS = {
+    "objective": bench.ObjectiveSpec,
+    "space": list[make_dataclass("SpaceEntry",  # a Dimension, whose `kind` the config calls `type`
+                                 [("name", str), ("type", str), ("lower", float), ("upper", float)])],
+    "acquisition": _hints(AcquisitionSpec, "kind", "gamma", "xi"),  # `incumbent` is loop state
+    "pso": PsoParams,
+    "gp": FitBounds,
+    "bo": _hints(BoConfig, "init_count", "iterations", "noise_var"),
+    "experiment": {"methods": list[bench.MethodSpec], "seeds": list[int], "budget": int},
+    "sweep": {"omegas": list[float], "seeds": list[int], "budget": int},
+    "seed": int,
+    "output_dir": str,
 }
-_SPACE_DIM_KEYS = {"name", "type", "lower", "upper"}
-_METHOD_KEYS = {f.name for f in fields(bench.MethodSpec)}
-# keys whose values must be real numbers (not bool); _INTEGER_KEYS must be
-# integers, _BOOL_KEYS bools, and _LIST_KEYS lists of them
-_TYPED_KEYS = {
-    "objective": {"dims", "noise_std", "negate"},
-    "acquisition": {"gamma", "xi"},
-    "pso": _SECTION_KEYS["pso"],
-    "bo": _SECTION_KEYS["bo"],
-    "experiment": {"seeds", "budget"},
-    "sweep": {"omegas", "seeds", "budget"},
-    "method": {"restarts", "max_steps", "points_per_dim"},
-}
-_INTEGER_KEYS = {"population", "max_iters", "patience", "dims", "seeds", "budget",
-                 "restarts", "max_steps", "points_per_dim"}
-_BOOL_KEYS = {"negate"}
-_LIST_KEYS = {"omegas", "seeds"}
+# a scalar kind's name in messages, and the values it admits (never a bool for a number)
+_SCALARS = {float: ("a number", Real), int: ("an integer", Integral), bool: ("a bool", bool),
+            str: ("a string", str)}
 
 
 def _check_keys(mapping, allowed, where):
     if not isinstance(mapping, dict):
         raise ConfigError(f"{where}: expected a mapping")
-    unknown = set(mapping) - allowed
+    unknown = set(mapping) - set(allowed)
     if unknown:
         raise ConfigError(f"{where}: unknown key(s) {sorted(unknown)}")
 
 
-def _check_types(mapping, section, where):
-    for key in sorted(_TYPED_KEYS[section] & set(mapping)):
-        value = mapping[key]
-        if key == "noise_var" and value is None:
-            continue  # null: fit the noise
-        if key in _BOOL_KEYS:
-            kind, number = "a bool", bool
-        elif key in _INTEGER_KEYS:
-            kind, number = "an integer", Integral
-        else:
-            kind, number = "a number", Real
-        if key in _LIST_KEYS:
-            if not isinstance(value, list):
-                raise ConfigError(f"{where}.{key}: expected a list, got {value!r}")
-            items = [(f"{where}.{key}[{i}]", v) for i, v in enumerate(value)]
-        else:
-            items = [(f"{where}.{key}", value)]
-        for name, v in items:
-            if isinstance(v, bool) != (number is bool) or not isinstance(v, number):
-                raise ConfigError(f"{name}: expected {kind}, got {v!r}")
+def _check(value, kind, where):
+    """Raise ConfigError, naming `where`, unless `value` is of `kind`: a scalar of
+    _SCALARS, `list[X]`, `X | None`, a {key: kind} mapping whose keys may each be
+    left out, or a dataclass, whose fields are its keys (those without a default
+    required). A `tuple` kind is FitBounds' pair, which checks itself."""
+    origin = typing.get_origin(kind)
+    if origin is tuple:
+        return
+    if origin in (typing.Union, types.UnionType):
+        if value is not None:
+            (inner,) = [arg for arg in typing.get_args(kind) if arg is not type(None)]
+            _check(value, inner, where)
+    elif origin is list:
+        if not isinstance(value, list):
+            raise ConfigError(f"{where}: expected a list, got {value!r}")
+        for i, item in enumerate(value):
+            _check(item, typing.get_args(kind)[0], f"{where}[{i}]")
+    elif isinstance(kind, dict) or is_dataclass(kind):
+        keys = kind if isinstance(kind, dict) else typing.get_type_hints(kind)
+        _check_keys(value, keys, where)
+        if is_dataclass(kind):
+            for f in fields(kind):
+                if f.name not in value and f.default is MISSING and f.default_factory is MISSING:
+                    raise ConfigError(f"{where}: missing key {f.name!r}")
+        for key, item in value.items():
+            _check(item, keys[key], f"{where}.{key}")
+    else:
+        name, admits = _SCALARS[kind]
+        if isinstance(value, bool) != (kind is bool) or not isinstance(value, admits):
+            raise ConfigError(f"{where}: expected {name}, got {value!r}")
 
 
 def load_config(path) -> dict:
+    """Read a YAML config and check every key against _SECTIONS; a top-level key
+    set to null is treated as left out."""
     try:
         with open(path, encoding="utf-8") as fh:
             raw = yaml.safe_load(fh)
@@ -114,31 +124,20 @@ def load_config(path) -> dict:
         raise ConfigError(f"config is not valid YAML: {exc}") from exc
     if raw is None:
         raw = {}
-    _check_keys(raw, _TOP_KEYS, "config")
-    for section, keys in _SECTION_KEYS.items():
-        if section in raw and raw[section] is not None:
-            _check_keys(raw[section], keys, section)
-            if section in _TYPED_KEYS:
-                _check_types(raw[section], section, section)
+    _check_keys(raw, _SECTIONS, "config")
+    for key, value in raw.items():
+        if value is not None:
+            _check(value, _SECTIONS[key], key)
     return raw
 
 
 def _parse_space(entries) -> SearchSpace:
-    if not isinstance(entries, list):
-        raise ConfigError("space: expected a list of dimension mappings")
-    dims = []
-    for i, entry in enumerate(entries):
-        _check_keys(entry, _SPACE_DIM_KEYS, f"space[{i}]")
-        for key in _SPACE_DIM_KEYS:
-            if key not in entry:
-                raise ConfigError(f"space[{i}]: missing key {key!r}")
-        dims.append(Dimension(str(entry["name"]), entry["type"],
-                              float(entry["lower"]), float(entry["upper"])))
-    return SearchSpace(dims)
+    return SearchSpace(Dimension(e["name"], e["type"], float(e["lower"]), float(e["upper"]))
+                       for e in entries)
 
 
 def _parse_objective(raw) -> bench.ObjectiveSpec:
-    if "objective" not in raw or not raw["objective"]:
+    if not raw.get("objective"):
         raise ConfigError("config: missing required section 'objective'")
     return bench.ObjectiveSpec(**raw["objective"])
 
@@ -146,35 +145,26 @@ def _parse_objective(raw) -> bench.ObjectiveSpec:
 def _parse_bo_config(raw, objective_spec: bench.ObjectiveSpec, seed: int = 0) -> BoConfig:
     """The BO settings every subcommand shares: the space, acquisition, pso, gp
     and bo sections (`space` defaults to the objective's canonical bounds)."""
-    bo = raw.get("bo") or {}
     space = raw.get("space")
     return BoConfig(
         space=_parse_space(space) if space else bench.default_space(objective_spec),
         acquisition=AcquisitionSpec(**raw.get("acquisition") or {}),
         pso=PsoParams(**raw.get("pso") or {}),
-        init_count=int(bo.get("init_count", 5)),
-        iterations=int(bo.get("iterations", 30)),
         seed=seed,
-        noise_var=bo.get("noise_var"),
         gp_bounds=FitBounds(**raw.get("gp") or {}),
+        **raw.get("bo") or {},
     )
 
 
 def _parse_methods(entries) -> list[bench.MethodSpec]:
-    if not isinstance(entries, list) or not entries:
+    """The `experiment.methods` entries of a config load_config has checked."""
+    if not entries:
         raise ConfigError("experiment.methods: expected a non-empty list")
     methods = []
-    for i, entry in enumerate(entries):
-        _check_keys(entry, _METHOD_KEYS, f"experiment.methods[{i}]")
-        if "kind" not in entry:
-            raise ConfigError(f"experiment.methods[{i}]: missing key 'kind'")
-        _check_types(entry, "method", f"experiment.methods[{i}]")
-        kwargs = dict(entry)
-        if "pso" in kwargs and kwargs["pso"] is not None:
-            _check_keys(kwargs["pso"], _SECTION_KEYS["pso"], f"experiment.methods[{i}].pso")
-            _check_types(kwargs["pso"], "pso", f"experiment.methods[{i}].pso")
-            kwargs["pso"] = PsoParams(**kwargs["pso"])
-        methods.append(bench.MethodSpec(**kwargs))
+    for entry in entries:
+        if entry.get("pso") is not None:
+            entry = {**entry, "pso": PsoParams(**entry["pso"])}
+        methods.append(bench.MethodSpec(**entry))
     return methods
 
 
@@ -182,11 +172,12 @@ def resolve_seed(args, raw) -> int:
     if args.seed is not None:
         return args.seed
     if raw.get("seed") is not None:
-        return int(raw["seed"])
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
+        return raw["seed"]
+    env = os.environ.get(SEED_ENV_VAR, "0")
+    try:
         return int(env)
-    return 0
+    except ValueError:
+        raise ConfigError(f"{SEED_ENV_VAR}: expected an integer, got {env!r}") from None
 
 
 def _metadata() -> dict:
@@ -253,8 +244,8 @@ def cmd_compare(args) -> int:
     methods = _parse_methods(section.get("methods"))
     if len(methods) < 2:
         raise ConfigError("experiment.methods: compare needs at least two methods")
-    seeds = section.get("seeds")
-    if not isinstance(seeds, list) or len(seeds) < 2:
+    seeds = section.get("seeds", [])
+    if len(seeds) < 2:
         raise ConfigError("experiment.seeds: need at least two seeds")
     budget = section.get("budget", 35)
     config = _parse_bo_config(raw, objective_spec)
@@ -296,6 +287,12 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _worker_count(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="swarmbo",
@@ -311,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the YAML run config")
         p.add_argument("--output-dir", default=None, help="artifact directory")
         p.add_argument("--seed", type=int, default=None, help="root seed override")
-        p.add_argument("--jobs", type=int, default=None,
+        p.add_argument("--jobs", type=_worker_count, default=None,
                        help="worker pool size (default: available parallelism)")
         p.set_defaults(fn=fn)
     return parser

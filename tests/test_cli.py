@@ -1,8 +1,11 @@
 import json
 import os
+import re
 import subprocess
 import sys
-from dataclasses import fields
+import types
+import typing
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import pytest
@@ -21,9 +24,11 @@ from swarmbo.bench import (
     read_report_csv,
     run_experiment,
 )
+from swarmbo.acquisition import AcquisitionSpec
 from swarmbo.boloop import BoConfig
 from swarmbo.cli import (
-    EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, _parse_bo_config, _parse_methods, load_config, main,
+    EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, _SECTIONS, _parse_bo_config, _parse_methods, load_config,
+    main,
 )
 from swarmbo.gp import FitBounds
 from swarmbo.pso import PsoParams
@@ -298,24 +303,90 @@ class TestSweep:
         assert outputs[0] == outputs[1]
 
 
+# each config section built from a dataclass, with the fields it takes from elsewhere
+_DATACLASS_SECTIONS = {
+    "objective": (ObjectiveSpec(**SPHERE_1D), set()),
+    "acquisition": (AcquisitionSpec(), {"incumbent"}),  # loop state
+    "pso": (PsoParams(), set()),
+    "gp": (FitBounds(), set()),
+    "bo": (BoConfig(space=default_space(ObjectiveSpec(**SPHERE_1D))),
+           {"space", "acquisition", "pso", "seed", "gp_bounds"}),  # other sections and --seed
+    "method.pso": (PsoParams(), set()),
+}
+
+
 @pytest.mark.parametrize("section, name", [
     (section, f.name)
-    for section, cls in [("objective", ObjectiveSpec), ("pso", PsoParams), ("gp", FitBounds)]
-    for f in fields(cls)
+    for section, (default, elsewhere) in _DATACLASS_SECTIONS.items()
+    for f in fields(default) if f.name not in elsewhere
 ])
 def test_every_section_field_is_a_config_key(tmp_path, section, name):
-    defaults = {"objective": ObjectiveSpec(**SPHERE_1D), "pso": PsoParams(), "gp": FitBounds()}
+    value = getattr(_DATACLASS_SECTIONS[section][0], name)
+    value = list(value) if isinstance(value, tuple) else value
     raw = {"objective": dict(SPHERE_1D)}
-    value = getattr(defaults[section], name)
-    raw.setdefault(section, {})[name] = list(value) if isinstance(value, tuple) else value
+    if section == "method.pso":
+        raw["experiment"] = _experiment({"kind": "pso_bo", "pso": {name: value}})
+    else:
+        raw.setdefault(section, {})[name] = value
     raw = load_config(write_config(tmp_path / "c.yaml", raw))
     _parse_bo_config(raw, ObjectiveSpec(**raw["objective"]))
+    if section == "method.pso":
+        assert _parse_methods(raw["experiment"]["methods"]) == [MethodSpec(PSO_BO, PsoParams())]
 
 
 @pytest.mark.parametrize("name", [f.name for f in fields(MethodSpec)])
-def test_every_method_field_is_a_method_key(name):
+def test_every_method_field_is_a_method_key(tmp_path, name):
     entry = {"kind": LOCAL_BO, name: getattr(MethodSpec(LOCAL_BO), name)}
-    assert _parse_methods([entry]) == [MethodSpec(LOCAL_BO)]
+    raw = load_config(write_config(tmp_path / "c.yaml", {"objective": dict(SPHERE_1D),
+                                                          "experiment": _experiment(entry)}))
+    assert _parse_methods(raw["experiment"]["methods"]) == [MethodSpec(LOCAL_BO)]
+
+
+def _kinds(kind, owner=None):
+    """(dataclass, leaf kind) for every annotation reachable from `kind`."""
+    origin = typing.get_origin(kind)
+    if isinstance(kind, dict):
+        for sub in kind.values():
+            yield from _kinds(sub, owner)
+    elif is_dataclass(kind):
+        for sub in typing.get_type_hints(kind).values():
+            yield from _kinds(sub, kind)
+    elif origin is list:
+        (item,) = typing.get_args(kind)
+        yield from _kinds(item, owner)
+    elif origin in (typing.Union, types.UnionType):
+        args = typing.get_args(kind)
+        assert len(args) == 2 and type(None) in args, f"{kind} is not `X | None`"
+        yield from _kinds(args[0] if args[1] is type(None) else args[1], owner)
+    else:
+        yield owner, kind
+
+
+def test_every_schema_kind_is_checked():
+    """A config value is checked only if its annotation is a kind cli._check knows;
+    FitBounds' (lower, upper) pairs are the one exception, checked by FitBounds."""
+    leaves = list(_kinds(_SECTIONS))
+    assert {owner for owner, _ in leaves} >= {ObjectiveSpec, PsoParams, FitBounds, MethodSpec}
+    for owner, kind in leaves:
+        if owner is FitBounds:
+            assert kind == tuple[float, float]
+        else:
+            assert kind in (float, int, bool, str), f"{owner}: unchecked kind {kind}"
+
+
+def test_readme_example_config_parses(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"Example config covering all sections:\n\n```yaml\n(.*?)```", readme,
+                          re.DOTALL)
+    path = tmp_path / "example.yaml"
+    path.write_text(block, encoding="utf-8")
+    raw = load_config(path)
+    assert set(raw) == set(_SECTIONS) - {"output_dir"}
+    spec = ObjectiveSpec(**raw["objective"])
+    config = _parse_bo_config(raw, spec, raw["seed"])
+    assert [d.name for d in config.space.dims] == ["x0", "x1"] and config.iterations == 30
+    assert [m.kind for m in _parse_methods(raw["experiment"]["methods"])] == [
+        "pso_bo", "random_search", "local_bo"]
 
 
 @pytest.mark.parametrize("where", ["objective", "pso", "gp", "method"])
@@ -359,7 +430,7 @@ def _experiment(*methods):
     ("run", {"acquisition": {"gamma": "big"}}, "acquisition.gamma: expected a number, got 'big'"),
     ("run", {"bo": {"noise_var": "small"}}, "bo.noise_var: expected a number, got 'small'"),
     ("sweep", {"bo": {"init_count": "five"}, "sweep": {"omegas": [0.5], "seeds": [0], "budget": 8}},
-     "bo.init_count: expected a number, got 'five'"),
+     "bo.init_count: expected an integer, got 'five'"),
     ("compare", {"experiment": _experiment({"kind": "random_search"},
                                            {"kind": "pso_bo", "pso": {"patience": "long"}})},
      "experiment.methods[1].pso.patience: expected an integer, got 'long'"),
@@ -401,6 +472,20 @@ def _experiment(*methods):
      "duplicate seeds in [0, 0]"),
     ("sweep", {"sweep": {"omegas": [0.5], "seeds": [1, 2, 1], "budget": 8}},
      "duplicate seeds in [1, 2, 1]"),
+    ("run", {"bo": {"init_count": 3.7}}, "bo.init_count: expected an integer, got 3.7"),
+    ("run", {"bo": {"iterations": 2.5}}, "bo.iterations: expected an integer, got 2.5"),
+    ("run", {"seed": 1.7}, "seed: expected an integer, got 1.7"),
+    ("run", {"seed": True}, "seed: expected an integer, got True"),
+    ("run", {"seed": "abc"}, "seed: expected an integer, got 'abc'"),
+    ("run", {"output_dir": 5}, "output_dir: expected a string, got 5"),
+    ("run", {"space": [{"name": "a", "type": "real", "lower": "abc", "upper": 1.0}]},
+     "space[0].lower: expected a number, got 'abc'"),
+    ("run", {"space": [{"name": "a", "type": "real", "lower": 0.0, "upper": True}]},
+     "space[0].upper: expected a number, got True"),
+    ("run", {"space": [{"name": "a", "type": "real", "lower": 0.0}]},
+     "space[0]: missing key 'upper'"),
+    ("compare", {"experiment": _experiment({"kind": "random_search"}, {"restarts": 3})},
+     "experiment.methods[1]: missing key 'kind'"),
 ], ids=["inverted-gp-bound", "one-element-gp-bound", "scalar-gp-bound", "unstable-method-pso",
         "grid-over-cap-after-pso_bo", "inverted-space-dim", "negative-noise-var",
         "string-omega", "bool-c1", "string-population", "float-max-iters", "string-gamma",
@@ -408,19 +493,49 @@ def _experiment(*methods):
         "string-sweep-omega", "scalar-sweep-seeds", "string-sweep-budget", "float-experiment-seed",
         "float-experiment-budget", "string-dims", "string-noise-std", "string-restarts",
         "float-max-steps", "string-points-per-dim", "negative-max-steps", "string-negate",
-        "integer-negate", "duplicate-experiment-seeds", "duplicate-sweep-seeds"])
+        "integer-negate", "duplicate-experiment-seeds", "duplicate-sweep-seeds",
+        "float-init-count", "float-iterations", "float-seed", "bool-seed", "string-seed",
+        "integer-output-dir", "string-space-lower", "bool-space-upper", "space-dim-without-upper",
+        "method-without-kind"])
 def test_config_error_exits_2_before_any_evaluation(tmp_path, capsys, monkeypatch,
                                                      command, raw, cause):
-    calls = []
-    real = bench.make_objective
-    monkeypatch.setattr(bench, "make_objective", lambda spec, seed: (
-        lambda x, fn=real(spec, seed): calls.append(1) or fn(x)))
+    calls = _count_evaluations(monkeypatch)
     cfg = write_config(tmp_path / "c.yaml", {"objective": dict(SPHERE_1D), **raw})
     out = tmp_path / "o"
     assert main([command, "--config", cfg, "--output-dir", str(out)]) == EXIT_CONFIG
     assert cause in capsys.readouterr().err
     assert calls == []
     assert not out.exists()
+
+
+def _count_evaluations(monkeypatch):
+    """A list that gains one item per objective evaluation."""
+    calls = []
+    real = bench.make_objective
+    monkeypatch.setattr(bench, "make_objective", lambda spec, seed: (
+        lambda x, fn=real(spec, seed): calls.append(1) or fn(x)))
+    return calls
+
+
+def test_non_integer_env_seed_exits_2_before_any_evaluation(tmp_path, capsys, monkeypatch):
+    calls = _count_evaluations(monkeypatch)
+    monkeypatch.setenv("SWARMBO_SEED", "abc")
+    cfg = write_config(tmp_path / "c.yaml", {"objective": dict(SPHERE_1D)})
+    out = tmp_path / "o"
+    assert main(["run", "--config", cfg, "--output-dir", str(out)]) == EXIT_CONFIG
+    assert "SWARMBO_SEED: expected an integer, got 'abc'" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_is_a_usage_error(tmp_path, capsys, jobs):
+    cfg = write_config(tmp_path / "c.yaml", {"objective": dict(SPHERE_1D)})
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", cfg, "--output-dir", str(tmp_path / "o"), "--jobs", jobs])
+    assert exc.value.code == EXIT_CONFIG
+    assert f"argument --jobs: expected an integer >= 1, got '{jobs}'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_baseline_objective_failure_exits_1(tmp_path, capsys, monkeypatch):
