@@ -392,6 +392,8 @@ def _run_cells(methods: list[MethodSpec], seeds: list[int],
     if len(set(seeds)) != len(seeds):
         # cells are keyed by (method, seed): a repeated seed would be one cell
         raise ValueError(f"duplicate seeds in {list(seeds)}")
+    if min(seeds) < 0:
+        raise ValueError(f"seeds must be non-negative, got {list(seeds)}")
     if budget <= config.init_count and any(m.kind in (PSO_BO, LOCAL_BO) for m in methods):
         raise ValueError("budget must exceed the initial-design size")
     for m in methods:

@@ -79,6 +79,8 @@ class BoConfig:
             raise ValueError("init_count must be at least 1")
         if self.iterations < 1:
             raise ValueError("iterations must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.noise_var is not None and not 0.0 <= self.noise_var < np.inf:
             raise ValueError(f"noise_var must be finite and non-negative, got {self.noise_var!r}")
 

@@ -307,9 +307,10 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to the YAML run config")
         p.add_argument("--output-dir", default=None, help="artifact directory")
-        p.add_argument("--seed", type=int, default=None, help="root seed override")
         p.add_argument("--jobs", type=_worker_count, default=None,
                        help="worker pool size (default: available parallelism)")
+        if name == "run":  # compare and sweep take their seeds from the config
+            p.add_argument("--seed", type=int, default=None, help="root seed override")
         p.set_defaults(fn=fn)
     return parser
 

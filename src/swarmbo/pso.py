@@ -1,9 +1,11 @@
 """Particle swarm maximizer over a bounded box.
 
-Velocity update: v <- omega*v + c1*r1*(pbest - x) + c2*r2*(gbest - x), with
-r1, r2 drawn independently per particle and per dimension. Positions are
-clamped to the box after each move; velocities are clamped to a fraction of
-each dimension's range.
+`run_pso` is the one swarm loop (the acquisition and hyperparameter swarms both
+use it); it keeps positions, velocities and bests as local arrays. Each step
+moves every particle, with r1, r2 drawn per particle and per dimension:
+v <- clip(omega*v + c1*r1*(pbest - x) + c2*r2*(gbest - x), -vmax, vmax), then
+x <- clamp(x + v), vmax a fraction of each dimension's range. Bests change only
+on strict improvement; a NaN fitness scores -inf, so it never becomes a best.
 
 Fitness functions take the whole swarm at once: an (m, d) batch of positions
 in, an (m,) array of values out.
@@ -63,85 +65,6 @@ def check_stability(params: PsoParams) -> None:
 
 
 @dataclass(frozen=True)
-class SwarmState:
-    """Immutable snapshot of the swarm between steps."""
-
-    positions: np.ndarray  # (m, d)
-    velocities: np.ndarray  # (m, d)
-    best_positions: np.ndarray  # (m, d)
-    best_fitness: np.ndarray  # (m,)
-    global_best_position: np.ndarray  # (d,)
-    global_best_fitness: float
-    iteration: int = 0
-
-
-def init_swarm(space: SearchSpace, params: PsoParams, fitness,
-               rng: np.random.Generator, start=None) -> SwarmState:
-    """Random positions in the box, velocities uniform in [-vmax, vmax].
-
-    `start`, if given, replaces particle 0's position, clamped to the box. It
-    is placed after the draws, so the random streams and every other particle
-    are the same as without it.
-    """
-    m, d = params.population, space.dim
-    positions = rng.uniform(space.lower, space.upper, size=(m, d))
-    vmax = params.vmax_fraction * space.ranges
-    velocities = rng.uniform(-vmax, vmax, size=(m, d))
-    if start is not None:
-        positions[0] = clamp(space, start)
-        if np.isnan(positions[0]).any():
-            raise ValueError(f"start must not be NaN, got {start!r}")
-    fit = np.asarray(fitness(positions), dtype=float)
-    best = int(np.argmax(fit))
-    return SwarmState(
-        positions=positions,
-        velocities=velocities,
-        best_positions=positions.copy(),
-        best_fitness=fit,
-        global_best_position=positions[best].copy(),
-        global_best_fitness=float(fit[best]),
-        iteration=0,
-    )
-
-
-def step_swarm(state: SwarmState, space: SearchSpace, params: PsoParams, fitness,
-               rng: np.random.Generator) -> SwarmState:
-    """One synchronous swarm update; personal/global bests replaced only on strict improvement."""
-    m, d = state.positions.shape
-    r1 = rng.random((m, d))
-    r2 = rng.random((m, d))
-    vmax = params.vmax_fraction * space.ranges
-    v = (
-        params.omega * state.velocities
-        + params.c1 * r1 * (state.best_positions - state.positions)
-        + params.c2 * r2 * (state.global_best_position - state.positions)
-    )
-    v = np.clip(v, -vmax, vmax)
-    x = clamp(space, state.positions + v)
-    fit = np.asarray(fitness(x), dtype=float)
-
-    improved = fit > state.best_fitness
-    best_positions = np.where(improved[:, None], x, state.best_positions)
-    best_fitness = np.where(improved, fit, state.best_fitness)
-    gbest = int(np.argmax(best_fitness))
-    if best_fitness[gbest] > state.global_best_fitness:
-        g_pos = best_positions[gbest].copy()
-        g_fit = float(best_fitness[gbest])
-    else:
-        g_pos = state.global_best_position
-        g_fit = state.global_best_fitness
-    return SwarmState(
-        positions=x,
-        velocities=v,
-        best_positions=best_positions,
-        best_fitness=best_fitness,
-        global_best_position=g_pos,
-        global_best_fitness=g_fit,
-        iteration=state.iteration + 1,
-    )
-
-
-@dataclass(frozen=True)
 class PsoResult:
     best_position: np.ndarray
     best_fitness: float
@@ -152,23 +75,49 @@ def run_pso(space: SearchSpace, params: PsoParams, fitness, rng: np.random.Gener
             start=None) -> PsoResult:
     """Maximize `fitness` over the box; stops early after `patience` stagnant iterations.
 
-    `start` seeds particle 0 (see init_swarm).
+    Positions start uniform in the box and velocities in [-vmax, vmax]. `start`,
+    if given, replaces particle 0's position, clamped to the box, after those
+    draws, so the random streams and every other particle are as without it.
     """
-    state = init_swarm(space, params, fitness, rng, start=start)
-    trace = [state.global_best_fitness]
+    m, d = params.population, space.dim
+    vmax = params.vmax_fraction * space.ranges
+    x = rng.uniform(space.lower, space.upper, size=(m, d))
+    v = rng.uniform(-vmax, vmax, size=(m, d))
+    if start is not None:
+        x[0] = clamp(space, start)
+        if np.isnan(x[0]).any():
+            raise ValueError(f"start must not be NaN, got {start!r}")
+    pbest, pbest_fit = x.copy(), _score(fitness, x)
+    g = int(np.argmax(pbest_fit))
+    gbest, gbest_fit = pbest[g].copy(), float(pbest_fit[g])
+    trace = [gbest_fit]
     stagnant = 0
     for _ in range(params.max_iters):
-        prev = state.global_best_fitness
-        state = step_swarm(state, space, params, fitness, rng)
-        trace.append(state.global_best_fitness)
-        if state.global_best_fitness - prev < params.tol:
+        r1 = rng.random((m, d))
+        r2 = rng.random((m, d))
+        v = params.omega * v + params.c1 * r1 * (pbest - x) + params.c2 * r2 * (gbest - x)
+        v = np.clip(v, -vmax, vmax)
+        x = clamp(space, x + v)
+        fit = _score(fitness, x)
+        # personal and global bests change only on strict improvement
+        improved = fit > pbest_fit
+        pbest[improved] = x[improved]
+        pbest_fit[improved] = fit[improved]
+        g = int(np.argmax(pbest_fit))
+        prev = gbest_fit
+        if pbest_fit[g] > gbest_fit:
+            gbest, gbest_fit = pbest[g].copy(), float(pbest_fit[g])
+        trace.append(gbest_fit)
+        if gbest_fit - prev < params.tol:
             stagnant += 1
             if stagnant >= params.patience:
                 break
         else:
             stagnant = 0
-    return PsoResult(
-        best_position=state.global_best_position.copy(),
-        best_fitness=state.global_best_fitness,
-        trace=np.array(trace),
-    )
+    return PsoResult(best_position=gbest, best_fitness=gbest_fit, trace=np.array(trace))
+
+
+def _score(fitness, x) -> np.ndarray:
+    """fitness(x) as floats, NaN scored -inf so that it never becomes a best."""
+    fit = np.asarray(fitness(x), dtype=float)
+    return np.where(np.isnan(fit), -np.inf, fit)

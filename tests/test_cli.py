@@ -486,6 +486,12 @@ def _experiment(*methods):
      "space[0]: missing key 'upper'"),
     ("compare", {"experiment": _experiment({"kind": "random_search"}, {"restarts": 3})},
      "experiment.methods[1]: missing key 'kind'"),
+    ("compare", {"experiment": {**_experiment({"kind": "random_search"}, {"kind": "pso_bo"}),
+                                "seeds": [-1, 0]}},
+     "seeds must be non-negative, got [-1, 0]"),
+    ("sweep", {"sweep": {"omegas": [0.5], "seeds": [0, -2], "budget": 8}},
+     "seeds must be non-negative, got [0, -2]"),
+    ("run", {"seed": -1}, "seed must be non-negative, got -1"),
 ], ids=["inverted-gp-bound", "one-element-gp-bound", "scalar-gp-bound", "unstable-method-pso",
         "grid-over-cap-after-pso_bo", "inverted-space-dim", "negative-noise-var",
         "string-omega", "bool-c1", "string-population", "float-max-iters", "string-gamma",
@@ -496,7 +502,8 @@ def _experiment(*methods):
         "integer-negate", "duplicate-experiment-seeds", "duplicate-sweep-seeds",
         "float-init-count", "float-iterations", "float-seed", "bool-seed", "string-seed",
         "integer-output-dir", "string-space-lower", "bool-space-upper", "space-dim-without-upper",
-        "method-without-kind"])
+        "method-without-kind", "negative-experiment-seed", "negative-sweep-seed",
+        "negative-seed"])
 def test_config_error_exits_2_before_any_evaluation(tmp_path, capsys, monkeypatch,
                                                      command, raw, cause):
     calls = _count_evaluations(monkeypatch)
@@ -526,6 +533,31 @@ def test_non_integer_env_seed_exits_2_before_any_evaluation(tmp_path, capsys, mo
     assert "SWARMBO_SEED: expected an integer, got 'abc'" in capsys.readouterr().err
     assert calls == []
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, env", [(["--seed", "-1"], None), ([], "-1")],
+                         ids=["flag", "env"])
+def test_negative_seed_exits_2_before_any_evaluation(tmp_path, capsys, monkeypatch, argv, env):
+    calls = _count_evaluations(monkeypatch)
+    if env is not None:
+        monkeypatch.setenv("SWARMBO_SEED", env)
+    cfg = write_config(tmp_path / "c.yaml", {"objective": dict(SPHERE_1D)})
+    out = tmp_path / "o"
+    assert main(["run", "--config", cfg, "--output-dir", str(out), *argv]) == EXIT_CONFIG
+    assert "seed must be non-negative, got -1" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["compare", "sweep"])
+def test_seed_flag_is_run_only(tmp_path, capsys, command):
+    # compare and sweep take their seeds from the config; a flag they ignore is a usage error
+    cfg = write_config(tmp_path / "c.yaml", {"objective": dict(SPHERE_1D)})
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", cfg, "--output-dir", str(tmp_path / "o"), "--seed", "5"])
+    assert exc.value.code == EXIT_CONFIG
+    assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

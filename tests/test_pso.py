@@ -7,11 +7,8 @@ from swarmbo.pso import (
     LearningFactorsOutOfRangeError,
     OmegaOutOfRangeError,
     PsoParams,
-    SwarmState,
     check_stability,
-    init_swarm,
     run_pso,
-    step_swarm,
 )
 from swarmbo.space import Dimension, REAL, SearchSpace
 
@@ -46,27 +43,45 @@ class TestStability:
                 PsoParams(omega=omega, c1=c1, c2=c2)
 
 
+def recording(values):
+    """A fitness returning values(X) that keeps a copy of every batch it scores."""
+    batches = []
+
+    def fitness(X):
+        batches.append(X.copy())
+        return values(X)
+
+    return fitness, batches
+
+
 class TestInitSwarm:
+    """The initial swarm: run_pso's first fitness batch and trace[0]."""
+
     def test_positions_in_bounds_and_gbest(self):
-        space = box(0, 1)
-        params = PsoParams(population=2)
-        state = init_swarm(space, params, lambda X: X[:, 0], np.random.default_rng(3))
-        assert np.all(state.positions >= 0) and np.all(state.positions <= 1)
-        assert state.global_best_fitness == max(state.best_fitness)
+        fitness, batches = recording(lambda X: X[:, 0])
+        result = run_pso(box(0, 1), PsoParams(population=2, max_iters=1), fitness,
+                         np.random.default_rng(3))
+        assert np.all(batches[0] >= 0) and np.all(batches[0] <= 1)
+        assert result.trace[0] == max(batches[0][:, 0])
 
     def test_constant_fitness(self):
-        state = init_swarm(box(0, 1), PsoParams(population=5),
-                           lambda X: np.full(len(X), 3.0), np.random.default_rng(0))
-        assert state.global_best_fitness == 3.0
+        result = run_pso(box(0, 1), PsoParams(population=5, max_iters=1),
+                         lambda X: np.full(len(X), 3.0), np.random.default_rng(0))
+        assert result.trace[0] == 3.0
 
     def test_deterministic(self):
         space = box(-2, 2, d=3)
-        f = lambda X: -np.sum(X**2, axis=1)
-        a = init_swarm(space, PsoParams(), f, np.random.default_rng(11))
-        b = init_swarm(space, PsoParams(), f, np.random.default_rng(11))
-        assert np.array_equal(a.positions, b.positions)
-        assert np.array_equal(a.velocities, b.velocities)
-        assert a.global_best_fitness == b.global_best_fitness
+        runs = []
+        for _ in range(2):
+            fitness, batches = recording(lambda X: -np.sum(X**2, axis=1))
+            rng = np.random.default_rng(11)
+            result = run_pso(space, PsoParams(max_iters=1), fitness, rng)
+            runs.append((batches, result.trace, rng.bit_generator.state))
+        (a, trace_a, state_a), (b, trace_b, state_b) = runs
+        # the second batch is the first move, so it also pins the initial velocities
+        assert len(a) == len(b) == 2
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+        assert np.array_equal(trace_a, trace_b) and state_a == state_b
 
 
 class TestWarmStart:
@@ -76,14 +91,18 @@ class TestWarmStart:
     @given(st.lists(st.floats(-10, 10, allow_nan=False), min_size=3, max_size=3),
            st.integers(0, 2**32 - 1))
     def test_only_particle_zero_moves(self, start, seed):
+        # with c2 = 0 the first move is each particle's own clipped velocity
+        # (its personal best is where it stands), so equal moves mean equal velocities
         space = box(-2, 2, d=3)
+        params = PsoParams(c1=1.0, c2=0.0, max_iters=1)
         f = lambda X: -np.sum(X**2, axis=1)
+        (cold_f, cold), (warm_f, warm) = recording(f), recording(f)
         rng_cold, rng_warm = np.random.default_rng(seed), np.random.default_rng(seed)
-        cold = init_swarm(space, PsoParams(), f, rng_cold)
-        warm = init_swarm(space, PsoParams(), f, rng_warm, start=start)
-        assert np.array_equal(warm.positions[0], np.clip(start, -2, 2))
-        assert np.array_equal(warm.positions[1:], cold.positions[1:])
-        assert np.array_equal(warm.velocities, cold.velocities)
+        run_pso(space, params, cold_f, rng_cold)
+        run_pso(space, params, warm_f, rng_warm, start=start)
+        assert np.array_equal(warm[0][0], np.clip(start, -2, 2))
+        assert np.array_equal(warm[0][1:], cold[0][1:])
+        assert np.array_equal(warm[1][1:], cold[1][1:])
         assert rng_warm.bit_generator.state == rng_cold.bit_generator.state
 
     def test_run_pso_scores_start_first_and_draws_the_same_numbers(self):
@@ -111,60 +130,82 @@ class TestWarmStart:
         assert np.array_equal(result.best_position, [1.234, 1.234])
 
     def test_nan_start_rejected(self):
+        fitness, batches = recording(lambda X: X[:, 0])
         with pytest.raises(ValueError, match="start must not be NaN"):
-            init_swarm(box(0, 1), PsoParams(), lambda X: X[:, 0], np.random.default_rng(0),
-                       start=[float("nan")])
+            run_pso(box(0, 1), PsoParams(), fitness, np.random.default_rng(0),
+                    start=[float("nan")])
+        assert batches == []
 
 
-class _OnesRng:
-    """Stand-in rng pinning r1 = r2 = 1."""
+class _PinnedRng:
+    """Stand-in rng: `uniform` returns the given positions, then the given
+    velocities; `random` pins r1 = r2 = 1."""
+
+    def __init__(self, positions, velocities):
+        self._draws = [np.array(positions, float), np.array(velocities, float)]
+
+    def uniform(self, low, high, size):
+        return self._draws.pop(0)
 
     def random(self, shape):
         return np.ones(shape)
 
 
+def scripted(*values):
+    """A fitness returning the given arrays in turn that keeps a copy of every batch."""
+    it = iter(values)
+    return recording(lambda X: np.array(next(it), float))
+
+
 class TestStepSwarm:
+    """The swarm update, pinned through run_pso's first steps."""
+
     def test_fixed_point(self):
-        space = box(-10, 10)
-        state = SwarmState(
-            positions=np.array([[2.0], [5.0]]),
-            velocities=np.zeros((2, 1)),
-            best_positions=np.array([[2.0], [5.0]]),
-            best_fitness=np.array([1.0, 2.0]),
-            global_best_position=np.array([5.0]),
-            global_best_fitness=2.0,
-        )
+        fitness, batches = scripted([1.0, 2.0], [0.0, 0.0])
+        params = PsoParams(omega=0.5, population=2, vmax_fraction=1.0, max_iters=1)
+        run_pso(box(-10, 10), params, fitness, _PinnedRng([[2.0], [5.0]], np.zeros((2, 1))))
         # the particle sitting at x = p_b = g_b with v = 0 stays put
-        new = step_swarm(state, space, PsoParams(omega=0.5, vmax_fraction=1.0),
-                         lambda X: np.zeros(len(X)), _OnesRng())
-        assert new.positions[1, 0] == 5.0
-        assert new.velocities[1, 0] == 0.0
+        assert batches[1][1, 0] == 5.0
 
     def test_pinned_randomness_arithmetic(self):
-        # v' = 0.5*1 + 1*(2-0) + 1*(4-0) = 6.5, x' = 6.5
         space = box(-100, 100)
-        state = SwarmState(
-            positions=np.array([[0.0], [4.0]]),
-            velocities=np.array([[1.0], [0.0]]),
-            best_positions=np.array([[2.0], [4.0]]),
-            best_fitness=np.array([0.0, 1.0]),
-            global_best_position=np.array([4.0]),
-            global_best_fitness=1.0,
-        )
-        params = PsoParams(omega=0.5, c1=1.0, c2=1.0, vmax_fraction=1.0)
-        new = step_swarm(state, space, params, lambda X: np.zeros(len(X)), _OnesRng())
-        assert new.velocities[0, 0] == pytest.approx(6.5)
-        assert new.positions[0, 0] == pytest.approx(6.5)
+        params = PsoParams(omega=0.5, c1=1.0, c2=2.0, population=2, vmax_fraction=1.0,
+                           max_iters=2)
+        # particle 1 at 4 is the global best throughout; particle 0 starts at 2
+        # and does not improve at its first move, so its personal best stays 2
+        fitness, batches = scripted([0.0, 1.0], [-1.0, 0.0], [0.0, 0.0])
+        run_pso(space, params, fitness, _PinnedRng([[2.0], [4.0]], [[1.0], [0.0]]))
+        # v1 = 0.5*1 + 1*(2-2) + 2*(4-2) = 4.5, x1 = 6.5
+        assert batches[1][0, 0] == 6.5
+        # v2 = 0.5*4.5 + 1*(2-6.5) + 2*(4-6.5) = 2.25 - 4.5 - 5 = -7.25, x2 = -0.75
+        assert batches[2][0, 0] == -0.75
+        assert batches[1][1, 0] == batches[2][1, 0] == 4.0
 
     def test_global_best_monotone(self):
-        space = box(-5, 5, d=2)
-        rng = np.random.default_rng(4)
-        f = lambda X: -np.sum(X**2, axis=1)
-        state = init_swarm(space, PsoParams(), f, rng)
-        for _ in range(20):
-            prev = state.global_best_fitness
-            state = step_swarm(state, space, PsoParams(), f, rng)
-            assert state.global_best_fitness >= prev
+        fitness, batches = recording(lambda X: -np.sum(X**2, axis=1))
+        result = run_pso(box(-5, 5, d=2), PsoParams(max_iters=20, patience=20), fitness,
+                         np.random.default_rng(4))
+        # the global best is the best value scored so far
+        seen = np.maximum.accumulate([max(-np.sum(X**2, axis=1)) for X in batches])
+        assert np.array_equal(result.trace, seen)
+        assert np.all(np.diff(result.trace) >= 0)
+
+
+class TestNanFitness:
+    def test_nan_never_becomes_the_best(self):
+        f = lambda X: np.where(X[:, 0] < -0.9, np.nan, X[:, 0] ** 2)
+        fitness, batches = recording(f)
+        result = run_pso(box(-1, 1), PsoParams(), fitness, np.random.default_rng(0))
+        assert np.isnan(f(batches[0])).any()  # the initial swarm scores a NaN
+        assert not np.isnan(result.trace).any()
+        finite = np.concatenate([f(X) for X in batches])
+        assert result.best_fitness == np.nanmax(finite)
+        assert result.best_position[0] >= -0.9
+
+    def test_all_nan_scores_minus_inf(self):
+        result = run_pso(box(0, 1), PsoParams(max_iters=3), lambda X: np.full(len(X), np.nan),
+                         np.random.default_rng(0))
+        assert np.all(result.trace == -np.inf)
 
 
 class TestRunPso:
