@@ -24,7 +24,8 @@ from .space import (
     INTEGER,
     REAL,
     SearchSpace,
-    clamp,
+    clamp,  # unused here since local_ascent clips its floats itself; kept as
+    # bench.clamp, the name perfbench's tracer patches
     materialize,
     sample_uniform,
 )
@@ -185,6 +186,12 @@ def local_ascent(space: SearchSpace, surface, rng: np.random.Generator,
     lockstep: each round is one surface call holding the 2d gradient probes
     of every restart that needs a gradient and the candidate of every restart
     in a line search. The winner is the first restart with the highest value.
+
+    A surface's rows can depend on the batch they arrive in, so which rows
+    share a round, and their order, is part of the result. Each restart's
+    state is kept in Python floats: the rounds hold at most a few rows, where
+    per-call numpy overhead would cost more than the arithmetic. Every float
+    operation is the one numpy would do on the same values.
     """
     if restarts < 1:
         raise InvalidMethodParamsError("restarts must be at least 1")
@@ -192,44 +199,67 @@ def local_ascent(space: SearchSpace, surface, rng: np.random.Generator,
         raise InvalidMethodParamsError("max_steps must be non-negative")
     d = space.dim
     h = 1e-6 * space.ranges
-    offsets = np.concatenate([h * np.eye(d), -(h * np.eye(d))])  # x + h e_j, then x - h e_j
-    x = np.array([sample_uniform(space, rng) for _ in range(restarts)])
-    v = np.array(surface(x), dtype=float)
-    step = np.full(restarts, 0.1)
-    direction = np.zeros_like(x)
-    moves = np.zeros(restarts, dtype=int)
-    active = np.full(restarts, max_steps > 0)
-    searching = np.zeros(restarts, dtype=bool)  # in a line search, else needs a gradient
-    # invariant: an active restart has step > 1e-10, so a line search always
+    offsets = np.concatenate([h * np.eye(d), -(h * np.eye(d))]).tolist()  # x + h e_j, then x - h e_j
+    # a zero h divides to a non-finite gradient, which stops the restart, as
+    # it would under numpy; a NaN divisor gives that without a division error
+    two_h = [t if t else math.nan for t in (2.0 * h).tolist()]
+    bounds = list(zip(space.lower.tolist(), space.upper.tolist(), space.ranges.tolist()))
+    x0 = np.array([sample_uniform(space, rng) for _ in range(restarts)])
+    v = np.array(surface(x0), dtype=float).tolist()
+    x = x0.tolist()
+    step = [0.1] * restarts
+    direction = [None] * restarts
+    moves = [0] * restarts
+    searching = [False] * restarts  # in a line search, else needs a gradient
+    live = list(range(restarts)) if max_steps > 0 else []
+    # invariant: a live restart has step > 1e-10, so a line search always
     # evaluates at least one candidate
-    while active.any():
-        grad_idx = np.flatnonzero(active & ~searching)
-        line_idx = np.flatnonzero(active & searching)
-        probes = (x[grad_idx, None] + offsets).reshape(-1, d)
-        cands = clamp(space, x[line_idx] + step[line_idx, None] * space.ranges * direction[line_idx])
-        vals = np.asarray(surface(np.concatenate([probes, cands])), dtype=float)
-        probe_vals = vals[: len(probes)].reshape(-1, 2, d)
-        cand_vals = vals[len(probes) :]
+    while live:
+        grads = [i for i in live if not searching[i]]
+        lines = [i for i in live if searching[i]]
+        rows = [[a + o for a, o in zip(x[i], off)] for i in grads for off in offsets]
+        cands = []
+        for i in lines:
+            s, cand = step[i], []
+            for a, u, (lo, hi, r) in zip(x[i], direction[i], bounds):
+                c = a + s * r * u
+                cand.append((c if c < hi else hi) if c > lo else lo)  # np.clip, signed zeros too
+            cands.append(cand)
+        vals = np.asarray(surface(np.array(rows + cands)), dtype=float).tolist()
 
-        with np.errstate(invalid="ignore"):  # -inf minus -inf: a non-finite norm stops it
-            grad = (probe_vals[:, 0] - probe_vals[:, 1]) / (2.0 * h)
-        norm = np.array([np.linalg.norm(g) for g in grad])  # one dot per row, as for one restart
-        ok = (norm != 0.0) & np.isfinite(norm)
-        direction[grad_idx[ok]] = grad[ok] / norm[ok, None]
-        searching[grad_idx[ok]] = True
-        active[grad_idx[~ok]] = False
+        stopped = set()
+        if grads:
+            # -inf minus -inf is NaN, and a non-finite norm stops the restart
+            grad = [[(vals[k + j] - vals[k + d + j]) / two_h[j] for j in range(d)]
+                    for k in range(0, len(rows), 2 * d)]
+            g = np.array(grad)
+            # one dot per row, the product np.linalg.norm takes for one restart
+            sq = np.matmul(g[:, None, :], g[:, :, None]).ravel().tolist()
+            for i, gi, q in zip(grads, grad, sq):
+                norm = math.sqrt(q)
+                if norm != 0.0 and math.isfinite(norm):
+                    direction[i] = [c / norm for c in gi]
+                    searching[i] = True
+                else:
+                    stopped.add(i)
 
-        better = cand_vals > v[line_idx]
-        won, lost = line_idx[better], line_idx[~better]
-        x[won], v[won] = cands[better], cand_vals[better]
-        step[won] = np.minimum(step[won] * 1.5, 0.5)
-        moves[won] += 1
-        searching[won] = False
-        active[won] = moves[won] < max_steps
-        step[lost] *= 0.5
-        active[lost] = step[lost] > 1e-10
+        for i, cand, cv in zip(lines, cands, vals[len(rows):]):
+            if cv > v[i]:
+                x[i], v[i] = cand, cv
+                step[i] = min(step[i] * 1.5, 0.5)
+                moves[i] += 1
+                searching[i] = False
+                if moves[i] >= max_steps:
+                    stopped.add(i)
+            else:
+                step[i] *= 0.5
+                if not step[i] > 1e-10:
+                    stopped.add(i)
+        if stopped:
+            live = [i for i in live if i not in stopped]
     # first highest value wins; a NaN value never does
-    return x[int(np.argmax(np.where(np.isnan(v), -np.inf, v)))]
+    best = max(range(restarts), key=lambda i: -math.inf if math.isnan(v[i]) else v[i])
+    return np.array(x[best])
 
 
 def run_local_bo(config: BoConfig, objective, restarts: int = 10,

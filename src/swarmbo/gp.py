@@ -85,11 +85,18 @@ def matern52(a: np.ndarray, b: np.ndarray, params: KernelParams) -> float:
 def _kernel(A: np.ndarray, B: np.ndarray, theta0, ells: np.ndarray) -> np.ndarray:
     """Matern-5/2 matrices k(A, B) for a batch of kernels: theta0 of shape (...) and
     ells of shape (..., d) give shape (..., len(A), len(B)). Each kernel equals the
-    one computed alone, bit for bit: the scaled squared differences are summed one
-    dimension at a time, in order (a last-axis sum differs in the last bits from d=8 on)."""
+    one computed alone, bit for bit."""
     ells = np.asarray(ells)[..., None, :]
-    As, Bs = A / ells, B / ells
-    r2 = sum((As[..., :, j, None] - Bs[..., None, :, j]) ** 2 for j in range(A.shape[1]))
+    return _matern(A / ells, B / ells, theta0)
+
+
+def _matern(As: np.ndarray, Bs: np.ndarray, theta0) -> np.ndarray:
+    """`_kernel` on inputs already divided by their lengthscales. The squared
+    differences are summed one dimension at a time, in order (a last-axis sum
+    differs in the last bits from d=8 on)."""
+    r2 = (As[..., :, 0, None] - Bs[..., None, :, 0]) ** 2
+    for j in range(1, As.shape[-1]):
+        r2 += (As[..., :, j, None] - Bs[..., None, :, j]) ** 2
     sr5 = np.sqrt(5.0 * r2)
     # theta0 * (1 + sr5 + 5/3 r2) * exp(-sr5), in place to save temporaries
     k = 1.0 + sr5
@@ -116,6 +123,10 @@ class GpModel:
     jitter: float
     y_mean: float
     y_std: float
+    scaled_x: np.ndarray = field(init=False, repr=False, compare=False)  # train_x / lengthscales
+
+    def __post_init__(self):
+        object.__setattr__(self, "scaled_x", self.train_x / self.params.lengthscales)
 
     @property
     def n_train(self) -> int:
@@ -150,10 +161,10 @@ def _standardize(space: SearchSpace, xs, ys):
     return _normalize(space, xs), (ys - y_mean) / y_std, y_mean, y_std
 
 
-def _cholesky(K: np.ndarray, y: np.ndarray, theta0: float):
+def _cholesky(K: np.ndarray, y: np.ndarray, theta0: float, eye: np.ndarray):
     """(L, alpha, jitter) with L L^T = K + jitter*I and alpha = (L L^T)^-1 y, the
-    jitter escalating one decade at a time from JITTER_START*theta0."""
-    eye = np.eye(len(y))
+    jitter escalating one decade at a time from JITTER_START*theta0. `eye` is the
+    identity of K's size, built once by the caller."""
     jitter = JITTER_START * theta0
     while jitter <= JITTER_MAX * theta0 * (1 + 1e-12):
         L, info = _potrf(K + jitter * eye, lower=1, clean=1)
@@ -165,8 +176,8 @@ def _cholesky(K: np.ndarray, y: np.ndarray, theta0: float):
 
 def _factorize(X: np.ndarray, y: np.ndarray, params: KernelParams):
     """(L, alpha, jitter) with L L^T = K + (noise + jitter)*I and alpha = (L L^T)^-1 y."""
-    K = gram_matrix(X, params) + params.noise_var * np.eye(len(y))
-    return _cholesky(K, y, params.theta0)
+    eye = np.eye(len(y))
+    return _cholesky(gram_matrix(X, params) + params.noise_var * eye, y, params.theta0, eye)
 
 
 def _lml(y: np.ndarray, L: np.ndarray, alpha: np.ndarray) -> float:
@@ -189,7 +200,7 @@ def predict(model: GpModel, x) -> Posterior:
         raise InvalidParamsError("query points must be finite")
     single = x.ndim == 1
     X = _normalize(model.space, np.atleast_2d(x))
-    k = _kernel(model.train_x, X, model.params.theta0, model.params.lengthscales)  # (t, n)
+    k = _matern(model.scaled_x, X / model.params.lengthscales, model.params.theta0)  # (t, n)
     mean_std = k.T @ model.alpha
     # the factor is finite by construction (_standardize, _cholesky) and Fortran-ordered
     v = _trtrs(model.chol, k, lower=1)[0]
@@ -255,7 +266,7 @@ def fit_hyperparams(space: SearchSpace, xs, ys, rng: np.random.Generator,
         out = np.full(len(Z), -np.inf)
         for i in range(len(Z)):
             try:
-                L, alpha, _ = _cholesky(K[i], y, theta0[i])
+                L, alpha, _ = _cholesky(K[i], y, theta0[i], eye)
             except FactorizationFailureError:
                 continue  # scored -inf
             out[i] = _lml(y, L, alpha)

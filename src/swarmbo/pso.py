@@ -108,7 +108,8 @@ def run_pso(space: SearchSpace, params: PsoParams, fitness, rng: np.random.Gener
         if pbest_fit[g] > gbest_fit:
             gbest, gbest_fit = pbest[g].copy(), float(pbest_fit[g])
         trace.append(gbest_fit)
-        if gbest_fit - prev < params.tol:
+        # while the best is still +-inf, the difference below is NaN: such a step is stagnant
+        if not np.isfinite(gbest_fit) or gbest_fit - prev < params.tol:
             stagnant += 1
             if stagnant >= params.patience:
                 break

@@ -64,20 +64,18 @@ class SearchSpace:
     dims: tuple[Dimension, ...]
     lower: np.ndarray = field(init=False, repr=False, compare=False)
     upper: np.ndarray = field(init=False, repr=False, compare=False)
+    ranges: np.ndarray = field(init=False, repr=False, compare=False)  # upper - lower
 
     def __init__(self, dims):
         object.__setattr__(self, "dims", tuple(dims))
         object.__setattr__(self, "lower", np.array([d.lower for d in self.dims], dtype=float))
         object.__setattr__(self, "upper", np.array([d.upper for d in self.dims], dtype=float))
+        object.__setattr__(self, "ranges", self.upper - self.lower)
         validate_space(self)
 
     @property
     def dim(self) -> int:
         return len(self.dims)
-
-    @property
-    def ranges(self) -> np.ndarray:
-        return self.upper - self.lower
 
     def integer_mask(self) -> np.ndarray:
         return np.array([d.kind == INTEGER for d in self.dims], dtype=bool)

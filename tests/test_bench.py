@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from swarmbo import bench
+from swarmbo.acquisition import EI, PI, UCB, AcquisitionSpec, evaluate
 from swarmbo.bench import (
     GRID_SEARCH,
     GridTooLargeError,
@@ -24,6 +25,7 @@ from swarmbo.bench import (
     write_report_csv,
 )
 from swarmbo.boloop import BoConfig, ObjectiveFailureError, component_rng
+from swarmbo.gp import KernelParams, fit_model
 from swarmbo.pso import OmegaOutOfRangeError
 from swarmbo.space import Dimension, DimensionMismatchError, INTEGER, REAL, SearchSpace
 
@@ -113,6 +115,48 @@ def sequential_local_ascent(space, surface, rng, restarts=10, max_steps=200):
         if v > best_v:
             best_x, best_v = x, v
     return best_x
+
+
+def lockstep_local_ascent(space, surface, rng, restarts=10, max_steps=200):
+    """The array-based lockstep local ascent that the float-state one replaced,
+    kept as the bit-identity reference: same rounds, same rows, same result."""
+    d = space.dim
+    h = 1e-6 * space.ranges
+    offsets = np.concatenate([h * np.eye(d), -(h * np.eye(d))])
+    x = np.array([bench.sample_uniform(space, rng) for _ in range(restarts)])
+    v = np.array(surface(x), dtype=float)
+    step = np.full(restarts, 0.1)
+    direction = np.zeros_like(x)
+    moves = np.zeros(restarts, dtype=int)
+    active = np.full(restarts, max_steps > 0)
+    searching = np.zeros(restarts, dtype=bool)
+    while active.any():
+        grad_idx = np.flatnonzero(active & ~searching)
+        line_idx = np.flatnonzero(active & searching)
+        probes = (x[grad_idx, None] + offsets).reshape(-1, d)
+        cands = bench.clamp(space, x[line_idx] + step[line_idx, None] * space.ranges * direction[line_idx])
+        vals = np.asarray(surface(np.concatenate([probes, cands])), dtype=float)
+        probe_vals = vals[: len(probes)].reshape(-1, 2, d)
+        cand_vals = vals[len(probes) :]
+
+        with np.errstate(invalid="ignore"):
+            grad = (probe_vals[:, 0] - probe_vals[:, 1]) / (2.0 * h)
+        norm = np.array([np.linalg.norm(g) for g in grad])
+        ok = (norm != 0.0) & np.isfinite(norm)
+        direction[grad_idx[ok]] = grad[ok] / norm[ok, None]
+        searching[grad_idx[ok]] = True
+        active[grad_idx[~ok]] = False
+
+        better = cand_vals > v[line_idx]
+        won, lost = line_idx[better], line_idx[~better]
+        x[won], v[won] = cands[better], cand_vals[better]
+        step[won] = np.minimum(step[won] * 1.5, 0.5)
+        moves[won] += 1
+        searching[won] = False
+        active[won] = moves[won] < max_steps
+        step[lost] *= 0.5
+        active[lost] = step[lost] > 1e-10
+    return x[int(np.argmax(np.where(np.isnan(v), -np.inf, v)))]
 
 
 BRANIN_SPACE = default_space(ObjectiveSpec("branin", dims=2))
@@ -227,6 +271,82 @@ class TestLocalAscent:
         a = run_local_bo(config, make_objective(spec, 4))
         b = run_local_bo(config, make_objective(spec, 4))
         assert np.array_equal(a.incumbent_trace, b.incumbent_trace)
+
+
+
+def recording(surface):
+    """The surface, plus the list of copies of every batch it was handed."""
+    batches = []
+
+    def recorded(X):
+        batches.append(np.array(X, copy=True))
+        return surface(X)
+
+    return recorded, batches
+
+
+def gp_acquisition_surface(kind, d, t, seed):
+    """(space, surface): the acquisition of a GP fitted to t points in a random
+    d-dimensional box, the last point a duplicate of the first."""
+    rng = np.random.default_rng(seed)
+    lower = rng.uniform(-5.0, 0.0, d)
+    upper = lower + rng.uniform(0.5, 10.0, d)
+    space = SearchSpace([Dimension(f"x{j}", REAL, lo, hi)
+                         for j, (lo, hi) in enumerate(zip(lower, upper))])
+    xs = rng.uniform(lower, upper, size=(t, d))
+    xs[-1] = xs[0]
+    ys = np.sin(3.0 * xs).sum(axis=1) + 0.1 * rng.standard_normal(t)
+    params = KernelParams(theta0=rng.uniform(0.5, 2.0), lengthscales=rng.uniform(0.05, 1.0, d),
+                          noise_var=1e-6)
+    model = fit_model(space, xs, ys, params)
+    spec = AcquisitionSpec(kind, incumbent=float(ys.max()))
+    return space, lambda X: evaluate(spec, model, X)
+
+
+def assert_same_ascent(space, surface, seed, restarts, max_steps):
+    """local_ascent hands the surface the reference's batches, row for row and in
+    order, and returns the reference's point, bit for bit."""
+    got_surface, got_batches = recording(surface)
+    want_surface, want_batches = recording(surface)
+    got = local_ascent(space, got_surface, np.random.default_rng(seed),
+                       restarts=restarts, max_steps=max_steps)
+    want = lockstep_local_ascent(space, want_surface, np.random.default_rng(seed),
+                                 restarts=restarts, max_steps=max_steps)
+    assert len(got_batches) == len(want_batches)
+    for a, b in zip(got_batches, want_batches):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    return len(want_batches)
+
+
+class TestLocalAscentBitIdentity:
+    """On GP acquisition surfaces, whose rows depend on the batch they arrive in,
+    the float-state ascent equals the array-based lockstep reference exactly."""
+
+    @pytest.mark.parametrize("kind", [UCB, EI, PI])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_gp_surfaces(self, kind, d):
+        t = 5 + 10 * (d - 1)  # 5, 15, 25, 35 training points
+        space, surface = gp_acquisition_surface(kind, d, t, seed=10 * d)
+        rounds = {}
+        for restarts in (1, 3, 10):
+            for max_steps in (0, 1, 5, 200):
+                rounds[restarts, max_steps] = assert_same_ascent(
+                    space, surface, d, restarts, max_steps)
+        assert rounds[1, 0] == 1 and rounds[10, 200] >= rounds[10, 5] > 2
+
+    @pytest.mark.filterwarnings("ignore:divide by zero encountered in divide:RuntimeWarning")
+    def test_difference_step_that_underflows_to_zero(self):
+        # 1e-6 times a subnormal range is 0: every gradient is non-finite
+        space = SearchSpace([Dimension("a", REAL, 0.0, 1e-320), Dimension("b", REAL, 0.0, 1.0)])
+        assert assert_same_ascent(space, neg_branin_rows, 0, 10, 200) == 2
+
+    @pytest.mark.parametrize("restarts", [1, 3, 10])
+    @pytest.mark.parametrize("max_steps", [0, 1, 5, 200])
+    def test_all_minus_inf_surface(self, restarts, max_steps):
+        surface = lambda X: np.full(len(X), -np.inf)
+        rounds = assert_same_ascent(BRANIN_SPACE, surface, 0, restarts, max_steps)
+        assert rounds == (1 if max_steps == 0 else 2)  # the starts, then one gradient round
 
 
 class TestRandomSearch:

@@ -235,6 +235,40 @@ class TestFitAndPredict:
             predict(model, [[0.5, 0.5], [bad, 0.5]])
 
 
+def unscaled_predict(model, X):
+    """predict's batch path through `_kernel` on the unit-cube training inputs, as
+    it was before the model cached them divided by the lengthscales."""
+    X = (np.asarray(X, dtype=float) - model.space.lower) / model.space.ranges
+    k = gp._kernel(model.train_x, X, model.params.theta0, model.params.lengthscales)
+    v = gp._trtrs(model.chol, k, lower=1)[0]
+    var = np.maximum(model.params.theta0 - np.sum(v * v, axis=0), 0.0)
+    return k.T @ model.alpha * model.y_std + model.y_mean, var * model.y_std**2
+
+
+class TestPredictScaledInputs:
+    """predict reads the training inputs the model caches divided by its
+    lengthscales; every row equals the `_kernel(model.train_x, ...)` path bit for bit."""
+
+    @pytest.mark.parametrize("d", [1, 2, 8, 9])
+    def test_equals_kernel_path(self, d):
+        rng = np.random.default_rng(d)
+        space = SearchSpace([Dimension(f"x{j}", REAL, -2.0 * j, 3.0 + j) for j in range(d)])
+        xs = rng.uniform(space.lower, space.upper, size=(20, d))
+        xs[-1] = xs[0]  # a duplicated point
+        params = KernelParams(theta0=1.7, lengthscales=rng.uniform(0.1, 2.0, d), noise_var=1e-6)
+        model = fit_model(space, xs, rng.standard_normal(20), params)
+        assert np.array_equal(model.scaled_x, model.train_x / params.lengthscales)
+        for n in (1, 7, 40):
+            X = rng.uniform(space.lower, space.upper, size=(n, d))
+            post = predict(model, X)
+            mean, var = unscaled_predict(model, X)
+            assert post.mean.tobytes() == mean.tobytes()
+            assert post.var.tobytes() == var.tobytes()
+        single = predict(model, X[0])
+        mean, var = unscaled_predict(model, X[:1])
+        assert (single.mean, single.var) == (mean[0], var[0])
+
+
 class TestLogMarginalLikelihood:
     def test_single_zero_observation(self):
         # standardized y = 0, theta0 + noise = 1 -> -0.5*log(2*pi)

@@ -207,6 +207,25 @@ class TestNanFitness:
                          np.random.default_rng(0))
         assert np.all(result.trace == -np.inf)
 
+    @pytest.mark.parametrize("value", [np.nan, -np.inf, np.inf])
+    def test_non_finite_best_counts_as_stagnant(self, value):
+        # inf - inf is NaN, and a NaN difference must not count as an improvement
+        result = run_pso(box(0, 1), PsoParams(max_iters=100, patience=5),
+                         lambda X: np.full(len(X), value), np.random.default_rng(0))
+        assert len(result.trace) == 6
+
+    def test_recovery_from_minus_inf_resets_the_count(self):
+        # finite only after the third step: the step that leaves -inf is an improvement
+        calls = []
+
+        def fitness(X):
+            calls.append(len(X))
+            return np.full(len(X), -np.inf if len(calls) <= 3 else 1.0)
+
+        result = run_pso(box(0, 1), PsoParams(max_iters=100, patience=5), fitness,
+                         np.random.default_rng(0))
+        assert result.trace.tolist() == [-np.inf] * 3 + [1.0] * 6
+
 
 class TestRunPso:
     def test_quadratic_against_grid_oracle(self):
