@@ -22,10 +22,9 @@ def bumpy(X):
 
 
 # The stock parameters follow the stability region -1 < omega < 1,
-# 0 < c1 + c2 < 4(1 + omega); check_stability rejects anything outside it.
+# 0 < c1 + c2 < 4(1 + omega); PsoParams rejects anything outside it.
 params = sb.PsoParams(omega=0.8, c1=1.85, c2=2.0, population=40, max_iters=200,
                       patience=200)
-sb.check_stability(params)
 
 result = sb.run_pso(space, params, bumpy, np.random.default_rng(0))
 print(f"best position: {result.best_position}")

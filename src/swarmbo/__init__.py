@@ -9,9 +9,7 @@ from .bench import (
     eval_objective,
     omega_sweep,
     run_experiment,
-    run_grid_search,
     run_local_bo,
-    run_random_search,
 )
 from .boloop import BoConfig, BoResult, run_bo
 from .gp import (
@@ -23,10 +21,9 @@ from .gp import (
     fit_model,
     gram_matrix,
     log_marginal_likelihood,
-    matern52,
     predict,
 )
-from .pso import PsoParams, PsoResult, check_stability, run_pso
+from .pso import PsoParams, PsoResult, run_pso
 from .space import (
     Dimension,
     INTEGER,
@@ -35,19 +32,17 @@ from .space import (
     clamp,
     materialize,
     sample_uniform,
-    validate_space,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AcquisitionSpec", "BoConfig", "BoResult", "Dimension", "ExperimentReport",
-    "FitBounds", "GpModel", "INTEGER", "KernelParams", "MethodSpec",
-    "ObjectiveSpec", "Posterior", "PsoParams", "PsoResult", "REAL",
-    "SearchSpace", "check_stability", "clamp", "default_space", "ei",
-    "eval_objective", "evaluate", "fit_hyperparams", "fit_model",
-    "gram_matrix", "log_marginal_likelihood", "materialize", "matern52",
-    "omega_sweep", "pi", "predict", "run_bo", "run_experiment",
-    "run_grid_search", "run_local_bo", "run_pso", "run_random_search",
-    "sample_uniform", "ucb", "validate_space",
+    "AcquisitionSpec", "BoConfig", "BoResult", "Dimension",
+    "ExperimentReport", "FitBounds", "GpModel", "INTEGER", "KernelParams",
+    "MethodSpec", "ObjectiveSpec", "Posterior", "PsoParams", "PsoResult",
+    "REAL", "SearchSpace", "clamp", "default_space", "ei", "eval_objective",
+    "evaluate", "fit_hyperparams", "fit_model", "gram_matrix",
+    "log_marginal_likelihood", "materialize", "omega_sweep", "pi",
+    "predict", "run_bo", "run_experiment", "run_local_bo", "run_pso",
+    "sample_uniform", "ucb",
 ]

@@ -273,30 +273,6 @@ def run_local_bo(config: BoConfig, objective, restarts: int = 10,
     return run_bo(config, objective, maximizer=maximizer)
 
 
-def _scan(space: SearchSpace, objective, points):
-    """Evaluate each point, materialized, in order; returns (best_point, best_value, trace).
-
-    Each value is checked by boloop.call_objective, as in the BO loop.
-    """
-    best_x, best_v = None, -np.inf
-    trace = []
-    for i, x in enumerate(points):
-        x = materialize(space, x)
-        v = call_objective(objective, x, i)
-        if v > best_v:
-            best_x, best_v = x, v
-        trace.append(best_v)
-    return best_x, best_v, np.array(trace)
-
-
-def run_random_search(space: SearchSpace, objective, budget: int,
-                      rng: np.random.Generator):
-    """Uniform sampling baseline; returns (best_point, best_value, incumbent_trace)."""
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
-    return _scan(space, objective, (sample_uniform(space, rng) for _ in range(budget)))
-
-
 def grid_points(space: SearchSpace, points_per_dim: int):
     """Lazy Cartesian lattice of at most GRID_CAP points; integer dims get their own (coarser) one."""
     axes = []
@@ -312,11 +288,6 @@ def grid_points(space: SearchSpace, points_per_dim: int):
     if total > GRID_CAP:
         raise GridTooLargeError(f"grid of {total} points exceeds cap {GRID_CAP}")
     return map(np.array, itertools.product(*axes))
-
-
-def run_grid_search(space: SearchSpace, objective, points_per_dim: int):
-    """Exhaustive lattice baseline; returns (best_point, best_value, incumbent_trace)."""
-    return _scan(space, objective, grid_points(space, points_per_dim))
 
 
 # ---------------------------------------------------------------------------
@@ -394,19 +365,23 @@ def run_method_cell(method: MethodSpec, objective_spec: ObjectiveSpec,
                                   restarts=method.restarts, max_steps=method.max_steps)
         return CellResult(result.best_point, result.best_value,
                           result.incumbent_trace, objective.count)
+    # a baseline scans its lattice in order, then uniform draws, truncated to the
+    # budget: grid search pads a small lattice, random search has no lattice
     space = config.space
-    if method.kind == RANDOM_SEARCH:
-        x, v, trace = run_random_search(space, objective, budget,
-                                        component_rng(seed, "random_search"))
+    if method.kind == GRID_SEARCH:
+        lattice, stream = grid_points(space, method.points_per_dim), "grid_pad"
     else:
-        # grid search, adapted for budget parity: lattice points in deterministic
-        # order truncated to the budget, padded with uniform draws if the lattice
-        # is smaller than the budget
-        pad_rng = component_rng(seed, "grid_pad")
-        padding = (sample_uniform(space, pad_rng) for _ in itertools.count())
-        points = itertools.chain(grid_points(space, method.points_per_dim), padding)
-        x, v, trace = _scan(space, objective, itertools.islice(points, budget))
-    return CellResult(x, v, trace, objective.count)
+        lattice, stream = (), RANDOM_SEARCH
+    rng = component_rng(seed, stream)
+    draws = (sample_uniform(space, rng) for _ in itertools.count())
+    best_x, best_v, trace = None, -np.inf, []
+    for i, x in enumerate(itertools.islice(itertools.chain(lattice, draws), budget)):
+        x = materialize(space, x)
+        v = call_objective(objective, x, i)  # checked as in the BO loop
+        if v > best_v:
+            best_x, best_v = x, v
+        trace.append(best_v)
+    return CellResult(best_x, best_v, np.array(trace), objective.count)
 
 
 def _run_cells(methods: list[MethodSpec], seeds: list[int],
@@ -417,6 +392,8 @@ def _run_cells(methods: list[MethodSpec], seeds: list[int],
     A failed cell is logged and isolated from the others; a method that fails
     on every seed re-raises its first exception.
     """
+    if not methods:
+        raise ValueError("need at least one method (a sweep: at least one omega)")
     if not seeds:
         raise ValueError("need at least one seed")
     if len(set(seeds)) != len(seeds):
@@ -424,6 +401,8 @@ def _run_cells(methods: list[MethodSpec], seeds: list[int],
         raise ValueError(f"duplicate seeds in {list(seeds)}")
     if min(seeds) < 0:
         raise ValueError(f"seeds must be non-negative, got {list(seeds)}")
+    if budget < 1:
+        raise ValueError(f"budget must be at least 1, got {budget}")
     if budget <= config.init_count and any(m.kind in (PSO_BO, LOCAL_BO) for m in methods):
         raise ValueError("budget must exceed the initial-design size")
     for m in methods:
@@ -461,8 +440,6 @@ def run_experiment(methods: list[MethodSpec], objective_spec: ObjectiveSpec,
     provide a map() over the independent cells (results are order-independent
     by construction).
     """
-    if not methods:
-        raise ValueError("need at least one method")
     for i, m in enumerate(methods):
         if m.kind in [n.kind for n in methods[:i]]:
             raise ValueError(f"method kind {m.kind!r} is listed twice (outputs are named by kind)")
@@ -549,15 +526,6 @@ def write_report_csv(report: ExperimentReport, path):
         writer.writerow(["method", "max", "min", "ave"])
         for m in report.methods:
             writer.writerow([m.kind, repr(m.max), repr(m.min), repr(m.ave)])
-
-
-def read_report_csv(path) -> list[dict]:
-    with open(path, encoding="utf-8", newline="") as fh:
-        return [
-            {"method": row["method"], "max": float(row["max"]),
-             "min": float(row["min"]), "ave": float(row["ave"])}
-            for row in csv.DictReader(fh)
-        ]
 
 
 def write_trace_csv(trace: np.ndarray, path):

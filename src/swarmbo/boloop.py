@@ -127,14 +127,10 @@ def _fit_surrogate(config: BoConfig, history: ObservationHistory, t: int,
     """The GP over the history, its hyperparameter swarm seeded with `start`."""
     xs = history.points
     ys = history.values
-    if len(history) < 2:
-        # hyperparameter fitting needs two points
-        params = gp.fallback_params(config.space.dim, config.noise_var)
-    else:
-        params = gp.fit_hyperparams(
-            config.space, xs, ys, component_rng(config.seed, f"gpfit:{t}"),
-            bounds=config.gp_bounds, noise_var=config.noise_var, start=start,
-        )
+    params = gp.fit_hyperparams(
+        config.space, xs, ys, component_rng(config.seed, f"gpfit:{t}"),
+        bounds=config.gp_bounds, noise_var=config.noise_var, start=start,
+    )
     return gp.fit_model(config.space, xs, ys, params)
 
 

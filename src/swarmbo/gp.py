@@ -73,17 +73,9 @@ class KernelParams:
             raise InvalidParamsError("noise_var must be non-negative and finite")
 
 
-def matern52(a: np.ndarray, b: np.ndarray, params: KernelParams) -> float:
-    """Matern-5/2 covariance with ARD squared distance sum((a_j-b_j)^2 / l_j^2)."""
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float))
-    if a.shape != b.shape:
-        raise InvalidParamsError("inputs must have equal length")
-    return float(_kernel(a[None], b[None], params.theta0, params.lengthscales)[0, 0])
-
-
 def _kernel(A: np.ndarray, B: np.ndarray, theta0, ells: np.ndarray) -> np.ndarray:
-    """Matern-5/2 matrices k(A, B) for a batch of kernels: theta0 of shape (...) and
+    """Matern-5/2 matrices k(A, B), with the ARD squared distance
+    sum((a_j - b_j)^2 / l_j^2), for a batch of kernels: theta0 of shape (...) and
     ells of shape (..., d) give shape (..., len(A), len(B)). Each kernel equals the
     one computed alone, bit for bit."""
     ells = np.asarray(ells)[..., None, :]
@@ -236,12 +228,13 @@ def fit_hyperparams(space: SearchSpace, xs, ys, rng: np.random.Generator,
     `noise_var`, if given, pins the noise variance instead of fitting it.
     `start`, if given, puts the swarm's particle 0 at its log10 values (clamped
     to `bounds`; its noise is used only when the noise is fitted), so the
-    result's LML is at least the LML there.
+    result's LML is at least the LML there. One observation fixes no
+    hyperparameter: it gets fallback_params, and `rng` is not drawn from.
     """
     X, y, _, _ = _standardize(space, xs, ys)
     d = X.shape[1]
     if len(y) < 2:
-        raise InvalidParamsError("need at least two observations to fit hyperparameters")
+        return fallback_params(d, noise_var)
 
     dims = [Dimension("log_theta0", REAL, *bounds.log_theta0)]
     dims += [Dimension(f"log_ell_{j}", REAL, *bounds.log_lengthscale) for j in range(d)]

@@ -44,24 +44,20 @@ class PsoParams:
     patience: int = 15
 
     def __post_init__(self):
-        check_stability(self)
-
-
-def check_stability(params: PsoParams) -> None:
-    """Enforce the convergence region -1 < omega < 1, 0 < c1+c2 < 4(1+omega)."""
-    if not -1.0 < params.omega < 1.0:
-        raise OmegaOutOfRangeError(f"omega={params.omega} outside (-1, 1)")
-    s = params.c1 + params.c2
-    if not 0.0 < s < 4.0 * (1.0 + params.omega):
-        raise LearningFactorsOutOfRangeError(
-            f"c1+c2={s} outside (0, {4.0 * (1.0 + params.omega)})"
-        )
-    if params.population < 2:
-        raise ValueError("population must be at least 2")
-    if params.max_iters < 1:
-        raise ValueError("max_iters must be at least 1")
-    if not 0.0 < params.vmax_fraction <= 1.0:
-        raise ValueError("vmax_fraction must be in (0, 1]")
+        """Enforce the convergence region -1 < omega < 1, 0 < c1+c2 < 4(1+omega)."""
+        if not -1.0 < self.omega < 1.0:
+            raise OmegaOutOfRangeError(f"omega={self.omega} outside (-1, 1)")
+        s = self.c1 + self.c2
+        if not 0.0 < s < 4.0 * (1.0 + self.omega):
+            raise LearningFactorsOutOfRangeError(
+                f"c1+c2={s} outside (0, {4.0 * (1.0 + self.omega)})"
+            )
+        if self.population < 2:
+            raise ValueError("population must be at least 2")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be at least 1")
+        if not 0.0 < self.vmax_fraction <= 1.0:
+            raise ValueError("vmax_fraction must be in (0, 1]")
 
 
 @dataclass(frozen=True)

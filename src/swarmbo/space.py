@@ -71,7 +71,16 @@ class SearchSpace:
         object.__setattr__(self, "lower", np.array([d.lower for d in self.dims], dtype=float))
         object.__setattr__(self, "upper", np.array([d.upper for d in self.dims], dtype=float))
         object.__setattr__(self, "ranges", self.upper - self.lower)
-        validate_space(self)
+        if not self.dims:
+            raise EmptySpaceError("search space has no dimensions")
+        names = [d.name for d in self.dims]
+        if len(set(names)) != len(names):
+            raise SpaceError("dimension names must be unique")
+        for d in self.dims:
+            if not d.lower < d.upper:
+                raise InvertedBoundsError(d.name)
+            if d.kind == INTEGER and math.floor(d.upper) < math.ceil(d.lower):
+                raise EmptyIntegerRangeError(d.name)
 
     @property
     def dim(self) -> int:
@@ -79,20 +88,6 @@ class SearchSpace:
 
     def integer_mask(self) -> np.ndarray:
         return np.array([d.kind == INTEGER for d in self.dims], dtype=bool)
-
-
-def validate_space(space: SearchSpace) -> None:
-    """Raise a SpaceError unless every dimension invariant holds."""
-    if space.dim == 0:
-        raise EmptySpaceError("search space has no dimensions")
-    names = [d.name for d in space.dims]
-    if len(set(names)) != len(names):
-        raise SpaceError("dimension names must be unique")
-    for d in space.dims:
-        if not d.lower < d.upper:
-            raise InvertedBoundsError(d.name)
-        if d.kind == INTEGER and math.floor(d.upper) < math.ceil(d.lower):
-            raise EmptyIntegerRangeError(d.name)
 
 
 def _check_len(space: SearchSpace, x: np.ndarray) -> np.ndarray:

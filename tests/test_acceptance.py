@@ -12,12 +12,7 @@ import swarmbo as sb
 from swarmbo import bench
 from swarmbo.acquisition import AcquisitionSpec, evaluate
 from swarmbo.cli import EXIT_OK, main
-from swarmbo.pso import (
-    LearningFactorsOutOfRangeError,
-    OmegaOutOfRangeError,
-    PsoParams,
-    check_stability,
-)
+from swarmbo.pso import LearningFactorsOutOfRangeError, OmegaOutOfRangeError, PsoParams
 
 BRANIN_MAX = -0.397887  # negated Branin optimum
 
@@ -68,7 +63,7 @@ def test_criterion_1_gp_oracle_equivalence():
 
 def test_criterion_2_kernel_ground_truth():
     params = sb.KernelParams(theta0=1.0, lengthscales=[1.0], noise_var=0.0)
-    val = sb.matern52([0.0], [1.0], params)
+    val = sb.gram_matrix([[0.0], [1.0]], params)[0, 1]
     assert val == pytest.approx(0.52399, abs=1e-5)
     rng = np.random.default_rng(0)
     for _ in range(100):
@@ -76,8 +71,8 @@ def test_criterion_2_kernel_ground_truth():
         p = sb.KernelParams(theta0=float(rng.uniform(0.1, 5)),
                             lengthscales=rng.uniform(0.1, 3, d), noise_var=0.0)
         a = rng.normal(size=d)
-        assert sb.matern52(a, a, p) == p.theta0
-    _report(2, f"matern52(r2=1) = {val:.6f}; k(a,a) = theta0 exact on 100 points")
+        assert np.all(sb.gram_matrix([a, a], p) == p.theta0)
+    _report(2, f"k(r2=1) = {val:.6f}; k(a,a) = theta0 exact on 100 points")
 
 
 def test_criterion_3_pso_correctness():
@@ -100,7 +95,7 @@ def test_criterion_3_pso_correctness():
 
 
 def test_criterion_4_stability_gate():
-    check_stability(PsoParams(omega=0.8, c1=1.85, c2=2.0))
+    PsoParams(omega=0.8, c1=1.85, c2=2.0)
     rng = np.random.default_rng(7)
     mismatches = 0
     for _ in range(1000):
@@ -109,7 +104,7 @@ def test_criterion_4_stability_gate():
         c2 = float(rng.uniform(-1, 5))
         inside = -1.0 < omega < 1.0 and 0.0 < c1 + c2 < 4.0 * (1.0 + omega)
         try:
-            check_stability(PsoParams(omega=omega, c1=c1, c2=c2))
+            PsoParams(omega=omega, c1=c1, c2=c2)
             accepted = True
         except (OmegaOutOfRangeError, LearningFactorsOutOfRangeError):
             accepted = False

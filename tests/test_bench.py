@@ -14,20 +14,21 @@ from swarmbo.bench import (
     RANDOM_SEARCH,
     default_space,
     eval_objective,
+    grid_points,
     local_ascent,
     make_objective,
     omega_sweep,
-    read_report_csv,
     run_experiment,
-    run_grid_search,
     run_local_bo,
-    run_random_search,
+    run_method_cell,
     write_report_csv,
 )
 from swarmbo.boloop import BoConfig, ObjectiveFailureError, component_rng
 from swarmbo.gp import KernelParams, fit_model
 from swarmbo.pso import OmegaOutOfRangeError
 from swarmbo.space import Dimension, DimensionMismatchError, INTEGER, REAL, SearchSpace
+
+from helpers import read_report_csv
 
 BRANIN_OPT = 0.397887357729738  # value at (pi, 2.275), frozen via mpmath
 HARTMANN3_OPT = -3.86278
@@ -349,49 +350,83 @@ class TestLocalAscentBitIdentity:
         assert rounds == (1 if max_steps == 0 else 2)  # the starts, then one gradient round
 
 
+def run_baseline_cell(monkeypatch, method, space, budget, seed=0, value=lambda x: 0.0):
+    """(points, cell): every point a baseline cell hands its objective, in order,
+    and the cell's result; the objective returns value(x)."""
+    seen = []
+    monkeypatch.setattr(bench, "make_objective", lambda spec, seed: (
+        lambda x: seen.append(np.array(x)) or value(x)))
+    cell = run_method_cell(method, ObjectiveSpec("sphere", dims=space.dim), BoConfig(space=space),
+                           seed, budget)
+    return seen, cell
+
+
 class TestRandomSearch:
     def test_budget_one(self):
         spec = ObjectiveSpec("sphere", dims=2, negate=True)
-        space = default_space(spec)
-        x, v, trace = run_random_search(space, make_objective(spec, 0), 1,
-                                        component_rng(0, "random_search"))
-        assert len(trace) == 1 and v == trace[0]
+        cell = run_method_cell(MethodSpec(RANDOM_SEARCH), spec,
+                               BoConfig(space=default_space(spec)), 0, 1)
+        assert len(cell.trace) == 1 and cell.best_value == cell.trace[0]
+        assert cell.n_evaluations == 1
 
-    def test_constant_objective(self):
+    def test_constant_objective(self, monkeypatch):
         space = SearchSpace([Dimension("a", REAL, 0, 1)])
-        _, v, _ = run_random_search(space, lambda x: 5.0, 10, np.random.default_rng(0))
-        assert v == 5.0
+        _, cell = run_baseline_cell(monkeypatch, MethodSpec(RANDOM_SEARCH), space, 10,
+                                    value=lambda x: 5.0)
+        assert cell.best_value == 5.0
 
     def test_sphere_large_budget_hits_near_optimum(self):
         spec = ObjectiveSpec("sphere", dims=2, negate=True)
-        space = default_space(spec)
+        config = BoConfig(space=default_space(spec))
         hits = 0
         for seed in range(10):
-            _, v, _ = run_random_search(space, make_objective(spec, seed), 10_000,
-                                        np.random.default_rng(seed))
-            hits += v >= -0.05
+            cell = run_method_cell(MethodSpec(RANDOM_SEARCH), spec, config, seed, 10_000)
+            hits += cell.best_value >= -0.05
         assert hits >= 9
+
+    def test_points_are_draws_of_the_random_search_stream(self, monkeypatch):
+        space = SearchSpace([Dimension("a", REAL, -1, 3), Dimension("b", REAL, 0, 1)])
+        seen, _ = run_baseline_cell(monkeypatch, MethodSpec(RANDOM_SEARCH), space, 7, seed=4)
+        rng = component_rng(4, "random_search")
+        assert np.array_equal(seen, [bench.sample_uniform(space, rng) for _ in range(7)])
 
 
 class TestGridSearch:
-    def test_three_point_lattice(self):
+    def test_three_point_lattice(self, monkeypatch):
         space = SearchSpace([Dimension("a", REAL, 0, 1)])
-        seen = []
-        run_grid_search(space, lambda x: seen.append(float(x[0])) or 0.0, 3)
-        assert seen == [0.0, 0.5, 1.0]
+        seen, _ = run_baseline_cell(monkeypatch, MethodSpec(GRID_SEARCH, points_per_dim=3),
+                                    space, 3)
+        assert [float(x[0]) for x in seen] == [0.0, 0.5, 1.0]
 
-    def test_integer_lattice_is_coarser(self):
+    def test_integer_lattice_is_coarser(self, monkeypatch):
         space = SearchSpace([Dimension("n", INTEGER, 2, 4)])
-        seen = []
-        run_grid_search(space, lambda x: seen.append(float(x[0])) or 0.0, 50)
-        assert seen == [2.0, 3.0, 4.0]
+        seen, _ = run_baseline_cell(monkeypatch, MethodSpec(GRID_SEARCH, points_per_dim=50),
+                                    space, 3)
+        assert [float(x[0]) for x in seen] == [2.0, 3.0, 4.0]
+
+    def test_small_lattice_is_padded_from_the_grid_pad_stream(self, monkeypatch):
+        space = SearchSpace([Dimension("a", REAL, 0, 1), Dimension("b", REAL, -2, 2)])
+        seen, cell = run_baseline_cell(monkeypatch, MethodSpec(GRID_SEARCH, points_per_dim=2),
+                                       space, 7, seed=3)
+        rng = component_rng(3, "grid_pad")
+        lattice = [[0.0, -2.0], [0.0, 2.0], [1.0, -2.0], [1.0, 2.0]]
+        assert np.array_equal(seen, lattice + [bench.sample_uniform(space, rng) for _ in range(3)])
+        assert cell.n_evaluations == len(cell.trace) == 7
+
+    def test_large_lattice_is_truncated_to_the_budget(self, monkeypatch):
+        space = SearchSpace([Dimension("a", REAL, 0, 1)])
+        seen, cell = run_baseline_cell(monkeypatch, MethodSpec(GRID_SEARCH, points_per_dim=5),
+                                       space, 2)
+        assert [float(x[0]) for x in seen] == [0.0, 0.25]
+        assert cell.n_evaluations == 2
 
     def test_grid_too_large(self):
         space = SearchSpace([Dimension(f"x{i}", REAL, 0, 1) for i in range(7)])
         with pytest.raises(GridTooLargeError):
-            run_grid_search(space, lambda x: 0.0, 10)
+            run_method_cell(MethodSpec(GRID_SEARCH), ObjectiveSpec("sphere", dims=7),
+                            BoConfig(space=space), 0, 10)
         with pytest.raises(GridTooLargeError):
-            bench.grid_points(space, 10)  # at the call, before any point is drawn
+            grid_points(space, 10)  # at the call, before any point is drawn
 
 
 class TestRunExperiment:
@@ -459,19 +494,32 @@ class TestRunExperiment:
             assert m.missing_seeds == [1]
             assert list(m.per_seed_best) == [0]
 
-    def test_baseline_failure_names_the_evaluation(self):
+    def test_baseline_failure_names_the_evaluation(self, monkeypatch):
         space = SearchSpace([Dimension("a", REAL, 0, 1)])
         with pytest.raises(ObjectiveFailureError) as info:
-            run_grid_search(space, lambda x: float("nan") if x[0] == 0.5 else 0.0, 3)
+            run_baseline_cell(monkeypatch, MethodSpec(GRID_SEARCH, points_per_dim=3), space, 3,
+                              value=lambda x: float("nan") if x[0] == 0.5 else 0.0)
         assert info.value.index == 1
 
-    def test_baseline_objective_exception_names_the_evaluation(self):
+    def test_baseline_objective_exception_names_the_evaluation(self, monkeypatch):
         def diverge(x):
             raise ValueError("solver diverged")
 
         space = SearchSpace([Dimension("a", REAL, 0, 1)])
         with pytest.raises(ObjectiveFailureError, match="evaluation 0 failed: solver diverged"):
-            run_random_search(space, diverge, 3, np.random.default_rng(0))
+            run_baseline_cell(monkeypatch, MethodSpec(RANDOM_SEARCH), space, 3, value=diverge)
+
+    @pytest.mark.parametrize("budget", [0, -1])
+    @pytest.mark.parametrize("kinds", [[GRID_SEARCH], [RANDOM_SEARCH, GRID_SEARCH],
+                                       [PSO_BO, RANDOM_SEARCH]], ids=["grid", "baselines", "bo"])
+    def test_budget_below_one_rejected_before_any_cell(self, monkeypatch, caplog, kinds, budget):
+        spec = ObjectiveSpec("sphere", dims=1, negate=True)
+        made = []
+        monkeypatch.setattr(bench, "make_objective", lambda *args: made.append(args))
+        with pytest.raises(ValueError, match=f"budget must be at least 1, got {budget}"):
+            run_experiment([MethodSpec(kind) for kind in kinds], spec, [0, 1], budget=budget)
+        assert made == []
+        assert "cell failed" not in caplog.text
 
     def test_method_failing_on_every_seed_reraises(self, monkeypatch):
         spec = ObjectiveSpec("sphere", dims=1, negate=True)
@@ -499,6 +547,11 @@ class TestRunExperiment:
             run_experiment([MethodSpec(RANDOM_SEARCH), MethodSpec(PSO_BO)], spec, [0, 1, 0],
                            budget=8)
         assert made == []  # checked before any cell runs
+
+    def test_needs_a_method(self):
+        spec = ObjectiveSpec("sphere", dims=1, negate=True)
+        with pytest.raises(ValueError, match="need at least one method"):
+            run_experiment([], spec, [0, 1], budget=3)
 
     def test_needs_two_seeds(self):
         spec = ObjectiveSpec("sphere", dims=1, negate=True)
@@ -536,6 +589,11 @@ class TestOmegaSweep:
         rows = omega_sweep(spec, [0.5, 0.9], [3], budget=8)
         assert [w for w, _ in rows] == [0.5, 0.9]
         assert all(np.isfinite(ave) for _, ave in rows)
+
+    def test_no_omegas_rejected(self):
+        spec = ObjectiveSpec("sphere", dims=1, negate=True)
+        with pytest.raises(ValueError, match="need at least one method"):
+            omega_sweep(spec, [], [0, 1], budget=8)
 
     def test_duplicate_seeds_rejected(self, monkeypatch):
         spec = ObjectiveSpec("sphere", dims=1, negate=True)

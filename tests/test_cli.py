@@ -21,7 +21,6 @@ from swarmbo.bench import (
     RANDOM_SEARCH,
     default_space,
     omega_sweep,
-    read_report_csv,
     run_experiment,
 )
 from swarmbo.acquisition import AcquisitionSpec
@@ -32,6 +31,8 @@ from swarmbo.cli import (
 )
 from swarmbo.gp import FitBounds
 from swarmbo.pso import PsoParams
+
+from helpers import read_report_csv
 
 SPHERE_1D = {"name": "sphere", "dims": 1, "negate": True}
 
@@ -492,6 +493,13 @@ def _experiment(*methods):
     ("sweep", {"sweep": {"omegas": [0.5], "seeds": [0, -2], "budget": 8}},
      "seeds must be non-negative, got [0, -2]"),
     ("run", {"seed": -1}, "seed must be non-negative, got -1"),
+    ("compare", {"experiment": {**_experiment({"kind": "random_search"}, {"kind": "grid_search"}),
+                                "budget": -1}},
+     "budget must be at least 1, got -1"),
+    ("compare", {"experiment": {**_experiment({"kind": "grid_search"}, {"kind": "pso_bo"}),
+                                "budget": 0}},
+     "budget must be at least 1, got 0"),
+    ("sweep", {"sweep": {"omegas": [], "seeds": [0], "budget": 8}}, "need at least one method"),
 ], ids=["inverted-gp-bound", "one-element-gp-bound", "scalar-gp-bound", "unstable-method-pso",
         "grid-over-cap-after-pso_bo", "inverted-space-dim", "negative-noise-var",
         "string-omega", "bool-c1", "string-population", "float-max-iters", "string-gamma",
@@ -503,8 +511,8 @@ def _experiment(*methods):
         "float-init-count", "float-iterations", "float-seed", "bool-seed", "string-seed",
         "integer-output-dir", "string-space-lower", "bool-space-upper", "space-dim-without-upper",
         "method-without-kind", "negative-experiment-seed", "negative-sweep-seed",
-        "negative-seed"])
-def test_config_error_exits_2_before_any_evaluation(tmp_path, capsys, monkeypatch,
+        "negative-seed", "negative-baseline-budget", "zero-budget", "no-sweep-omegas"])
+def test_config_error_exits_2_before_any_evaluation(tmp_path, capsys, caplog, monkeypatch,
                                                      command, raw, cause):
     calls = _count_evaluations(monkeypatch)
     cfg = write_config(tmp_path / "c.yaml", {"objective": dict(SPHERE_1D), **raw})
@@ -512,6 +520,7 @@ def test_config_error_exits_2_before_any_evaluation(tmp_path, capsys, monkeypatc
     assert main([command, "--config", cfg, "--output-dir", str(out)]) == EXIT_CONFIG
     assert cause in capsys.readouterr().err
     assert calls == []
+    assert "cell failed" not in caplog.text
     assert not out.exists()
 
 

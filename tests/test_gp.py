@@ -13,7 +13,6 @@ from swarmbo.gp import (
     fit_model,
     gram_matrix,
     log_marginal_likelihood,
-    matern52,
     predict,
 )
 from swarmbo.space import Dimension, DimensionMismatchError, REAL, SearchSpace
@@ -33,25 +32,25 @@ def kernel_oracle(a, b, params):
     return params.theta0 * (1 + s + 5 * r2 / 3) * np.exp(-s)
 
 
+def kernel_of_pair(a, b, params):
+    """The Matern-5/2 covariance of two points, off the diagonal of their gram matrix."""
+    return gram_matrix([a, b], params)[0, 1]
+
+
 class TestMatern52:
     def test_equal_inputs_give_theta0(self):
         params = KernelParams(theta0=2.5, lengthscales=[1.0], noise_var=0.0)
-        assert matern52([0.3], [0.3], params) == 2.5
+        assert kernel_of_pair([0.3], [0.3], params) == 2.5
 
     def test_unit_r2_frozen_value(self):
         params = KernelParams(theta0=1.0, lengthscales=[1.0], noise_var=0.0)
-        assert matern52([0.0], [1.0], params) == pytest.approx(MATERN52_AT_UNIT_R2, abs=1e-5)
+        assert kernel_of_pair([0.0], [1.0], params) == pytest.approx(MATERN52_AT_UNIT_R2, abs=1e-5)
 
     def test_monotone_decay(self):
         params = KernelParams(theta0=1.0, lengthscales=[1.0], noise_var=0.0)
-        vals = [matern52([0.0], [r], params) for r in np.linspace(0, 20, 50)]
+        vals = [kernel_of_pair([0.0], [r], params) for r in np.linspace(0, 20, 50)]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
         assert vals[-1] < 1e-10
-
-    def test_length_mismatch(self):
-        params = KernelParams(theta0=1.0, lengthscales=[1.0, 1.0], noise_var=0.0)
-        with pytest.raises(InvalidParamsError):
-            matern52([0.0, 0.0], [1.0], params)
 
     def test_invalid_params(self):
         with pytest.raises(InvalidParamsError):
@@ -63,7 +62,8 @@ class TestMatern52:
            st.lists(st.floats(-5, 5), min_size=2, max_size=2))
     def test_symmetry(self, a, b):
         params = KernelParams(theta0=1.3, lengthscales=[0.7, 2.0], noise_var=0.0)
-        assert matern52(a, b, params) == pytest.approx(matern52(b, a, params), rel=1e-12)
+        assert kernel_of_pair(a, b, params) == pytest.approx(kernel_of_pair(b, a, params),
+                                                             rel=1e-12)
 
 
 class TestGramMatrix:
@@ -365,6 +365,18 @@ class TestFitHyperparams:
         assert a.theta0 == b.theta0
         assert np.array_equal(a.lengthscales, b.lengthscales)
         assert a.noise_var == b.noise_var
+
+    @pytest.mark.parametrize("noise_var", [None, 0.3])
+    def test_one_observation_gets_the_fallback_without_drawing(self, noise_var):
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        fitted = fit_hyperparams(unit_box(2), [[0.1, 0.7]], [2.0], rng, noise_var=noise_var)
+        want = gp.fallback_params(2, noise_var)
+        assert (fitted.theta0, fitted.noise_var) == (want.theta0, want.noise_var)
+        assert np.array_equal(fitted.lengthscales, want.lengthscales)
+        assert rng.bit_generator.state == state
+        with pytest.raises(InvalidParamsError, match="finite"):
+            fit_hyperparams(unit_box(2), [[0.1, 0.7]], [np.nan], rng)
 
     def test_pinned_noise_respected(self):
         rng = np.random.default_rng(10)

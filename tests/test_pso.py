@@ -7,7 +7,6 @@ from swarmbo.pso import (
     LearningFactorsOutOfRangeError,
     OmegaOutOfRangeError,
     PsoParams,
-    check_stability,
     run_pso,
 )
 from swarmbo.space import Dimension, REAL, SearchSpace
@@ -19,15 +18,15 @@ def box(lo, hi, d=1):
 
 class TestStability:
     def test_default_setting_accepted(self):
-        check_stability(PsoParams(omega=0.8, c1=1.85, c2=2.0))
+        PsoParams(omega=0.8, c1=1.85, c2=2.0)
 
     def test_omega_boundary_rejected(self):
         with pytest.raises(OmegaOutOfRangeError):
-            check_stability(PsoParams(omega=1.0))
+            PsoParams(omega=1.0)
 
     def test_learning_factors_rejected(self):
         with pytest.raises(LearningFactorsOutOfRangeError):
-            check_stability(PsoParams(omega=0.0, c1=2.5, c2=2.5))
+            PsoParams(omega=0.0, c1=2.5, c2=2.5)
 
     @given(
         st.floats(-2, 2, allow_nan=False),
@@ -37,7 +36,7 @@ class TestStability:
     def test_matches_direct_inequalities(self, omega, c1, c2):
         inside = -1.0 < omega < 1.0 and 0.0 < c1 + c2 < 4.0 * (1.0 + omega)
         if inside:
-            check_stability(PsoParams(omega=omega, c1=c1, c2=c2))
+            PsoParams(omega=omega, c1=c1, c2=c2)
         else:
             with pytest.raises((OmegaOutOfRangeError, LearningFactorsOutOfRangeError)):
                 PsoParams(omega=omega, c1=c1, c2=c2)
