@@ -7,9 +7,7 @@ from .bench import (
     ObjectiveSpec,
     default_space,
     eval_objective,
-    omega_sweep,
     run_experiment,
-    run_local_bo,
 )
 from .boloop import BoConfig, BoResult, run_bo
 from .gp import (
@@ -42,7 +40,6 @@ __all__ = [
     "MethodSpec", "ObjectiveSpec", "Posterior", "PsoParams", "PsoResult",
     "REAL", "SearchSpace", "clamp", "default_space", "ei", "eval_objective",
     "evaluate", "fit_hyperparams", "fit_model", "gram_matrix",
-    "log_marginal_likelihood", "materialize", "omega_sweep", "pi",
-    "predict", "run_bo", "run_experiment", "run_local_bo", "run_pso",
-    "sample_uniform", "ucb",
+    "log_marginal_likelihood", "materialize", "pi", "predict", "run_bo",
+    "run_experiment", "run_pso", "sample_uniform", "ucb",
 ]

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .boloop import BoConfig, BoResult, call_objective, component_rng, run_bo
+from .boloop import BoConfig, call_objective, component_rng, run_bo
 from .pso import PsoParams
 from .space import (
     Dimension,
@@ -262,17 +262,6 @@ def local_ascent(space: SearchSpace, surface, rng: np.random.Generator,
     return np.array(x[best])
 
 
-def run_local_bo(config: BoConfig, objective, restarts: int = 10,
-                 max_steps: int = 200) -> BoResult:
-    """BO loop identical to run_bo except the acquisition maximizer."""
-
-    def maximizer(space, surface, tag):
-        return local_ascent(space, surface, component_rng(config.seed, tag),
-                            restarts=restarts, max_steps=max_steps)
-
-    return run_bo(config, objective, maximizer=maximizer)
-
-
 def grid_points(space: SearchSpace, points_per_dim: int):
     """Lazy Cartesian lattice of at most GRID_CAP points; integer dims get their own (coarser) one."""
     axes = []
@@ -358,11 +347,12 @@ def run_method_cell(method: MethodSpec, objective_spec: ObjectiveSpec,
     if method.kind in (PSO_BO, LOCAL_BO):
         config = replace(config, pso=method.pso or config.pso,
                          iterations=budget - config.init_count, seed=seed)
-        if method.kind == PSO_BO:
-            result = run_bo(config, objective)
-        else:
-            result = run_local_bo(config, objective,
-                                  restarts=method.restarts, max_steps=method.max_steps)
+
+        def ascent(space, surface, tag):  # the same BO loop, maximized by local ascent
+            return local_ascent(space, surface, component_rng(seed, tag),
+                                restarts=method.restarts, max_steps=method.max_steps)
+
+        result = run_bo(config, objective, maximizer=ascent if method.kind == LOCAL_BO else None)
         return CellResult(result.best_point, result.best_value,
                           result.incumbent_trace, objective.count)
     # a baseline scans its lattice in order, then uniform draws, truncated to the
@@ -384,13 +374,19 @@ def run_method_cell(method: MethodSpec, objective_spec: ObjectiveSpec,
     return CellResult(best_x, best_v, np.array(trace), objective.count)
 
 
-def _run_cells(methods: list[MethodSpec], seeds: list[int],
-               objective_spec: ObjectiveSpec, config: BoConfig, budget: int,
-               executor=None) -> dict:
-    """Map each (method, seed) cell to its CellResult or to the exception it raised.
+def run_experiment(methods: list[MethodSpec], objective_spec: ObjectiveSpec,
+                   seeds: list[int], budget: int, config: BoConfig | None = None,
+                   executor=None) -> ExperimentReport:
+    """Run every method on every seed with identical budgets and aggregate.
 
-    A failed cell is logged and isolated from the others; a method that fails
-    on every seed re-raises its first exception.
+    `config` holds the shared BO settings (default: the defaults over the
+    objective's canonical space); each cell sets its `seed`, and its
+    `iterations` to `budget - init_count`. Methods may share a kind (an omega
+    sweep is PSO_BO methods that differ in `pso`); the report has one row per
+    method, in order. A failed (method, seed) cell is logged and recorded as
+    missing, never silently averaged; a method that fails on every seed raises
+    its first error. `executor`, if given, must provide a map() over the
+    independent cells (results are order-independent by construction).
     """
     if not methods:
         raise ValueError("need at least one method (a sweep: at least one omega)")
@@ -403,57 +399,34 @@ def _run_cells(methods: list[MethodSpec], seeds: list[int],
         raise ValueError(f"seeds must be non-negative, got {list(seeds)}")
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
+    if config is None:
+        config = BoConfig(space=default_space(objective_spec))
     if budget <= config.init_count and any(m.kind in (PSO_BO, LOCAL_BO) for m in methods):
         raise ValueError("budget must exceed the initial-design size")
     for m in methods:
         if m.kind == GRID_SEARCH:
             grid_points(config.space, m.points_per_dim)  # raises here if over GRID_CAP
-    cells = [(m, s) for m in methods for s in seeds]
+    cells = [(i, s) for i in range(len(methods)) for s in seeds]
 
     def run_cell(cell):
-        method, seed = cell
+        i, seed = cell
         try:
-            return run_method_cell(method, objective_spec, config, seed, budget)
+            return run_method_cell(methods[i], objective_spec, config, seed, budget)
         except Exception as exc:
-            log.warning("cell (%s, seed=%d) failed: %s", method.kind, seed, exc)
+            log.warning("cell (%s, seed=%d) failed: %s", methods[i].kind, seed, exc)
             return exc
 
     mapper = executor.map if executor is not None else map
     results = dict(zip(cells, mapper(run_cell, cells)))
-    for method in methods:
-        outcomes = [results[(method, s)] for s in seeds]
-        if all(isinstance(r, Exception) for r in outcomes):
-            raise outcomes[0]
-    return results
-
-
-def run_experiment(methods: list[MethodSpec], objective_spec: ObjectiveSpec,
-                   seeds: list[int], budget: int, config: BoConfig | None = None,
-                   executor=None) -> ExperimentReport:
-    """Run every method on every seed with identical budgets and aggregate.
-
-    `config` holds the shared BO settings (default: the defaults over the
-    objective's canonical space); each cell sets its `seed`, and its
-    `iterations` to `budget - init_count`. A failed (method, seed) cell is
-    recorded as missing with a warning, never silently averaged; a method that
-    fails on every seed raises its first error. `executor`, if given, must
-    provide a map() over the independent cells (results are order-independent
-    by construction).
-    """
-    for i, m in enumerate(methods):
-        if m.kind in [n.kind for n in methods[:i]]:
-            raise ValueError(f"method kind {m.kind!r} is listed twice (outputs are named by kind)")
-    if len(seeds) < 2:
-        raise ValueError("need at least two seeds")
-    if config is None:
-        config = BoConfig(space=default_space(objective_spec))
-    results = _run_cells(methods, seeds, objective_spec, config, budget, executor=executor)
 
     reports = []
-    for method in methods:
+    for i, method in enumerate(methods):
+        outcomes = [results[(i, s)] for s in seeds]
+        if all(isinstance(r, Exception) for r in outcomes):
+            raise outcomes[0]
         per_seed, counts, traces, missing = {}, {}, {}, []
         for seed in sorted(seeds):
-            res = results[(method, seed)]
+            res = results[(i, seed)]
             if isinstance(res, Exception):
                 missing.append(seed)
                 continue
@@ -467,28 +440,6 @@ def run_experiment(methods: list[MethodSpec], objective_spec: ObjectiveSpec,
                               budget=budget, methods=reports)
     report.assert_budget_parity()
     return report
-
-
-def omega_sweep(objective_spec: ObjectiveSpec, omegas: list[float],
-                seeds: list[int], budget: int, config: BoConfig | None = None,
-                executor=None) -> list[tuple[float, float]]:
-    """Mean final best of PSO-BO per inertia weight; all omegas validated upfront.
-
-    Each row runs `config.pso` with its own omega; `config`, its default, and
-    the per-cell `seed` and `iterations` are as for run_experiment. Any failed
-    cell fails the sweep. `executor` is as for run_experiment.
-    """
-    if config is None:
-        config = BoConfig(space=default_space(objective_spec))
-    methods = [MethodSpec(PSO_BO, pso=replace(config.pso, omega=omega)) for omega in omegas]
-    results = _run_cells(methods, seeds, objective_spec, config, budget, executor=executor)
-    for res in results.values():
-        if isinstance(res, Exception):
-            raise res
-    return [
-        (m.pso.omega, sum(results[(m, s)].best_value for s in seeds) / len(seeds))
-        for m in methods
-    ]
 
 
 # ---------------------------------------------------------------------------

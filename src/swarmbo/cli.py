@@ -21,7 +21,7 @@ import sys
 import types
 import typing
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import MISSING, fields, is_dataclass, make_dataclass
+from dataclasses import MISSING, fields, is_dataclass, make_dataclass, replace
 from numbers import Integral, Real
 from pathlib import Path
 
@@ -249,6 +249,9 @@ def cmd_compare(args) -> int:
         raise ConfigError("experiment.seeds: need at least two seeds")
     budget = section.get("budget", 35)
     config = _parse_bo_config(raw, objective_spec)
+    for i, m in enumerate(methods):
+        if m.kind in [n.kind for n in methods[:i]]:
+            raise ConfigError(f"method kind {m.kind!r} is listed twice (outputs are named by kind)")
 
     with _executor(args.jobs) as executor:
         report = bench.run_experiment(methods, objective_spec, seeds,
@@ -273,9 +276,16 @@ def cmd_sweep(args) -> int:
     seeds = section.get("seeds", [0, 1])
     budget = section.get("budget", 35)
     config = _parse_bo_config(raw, objective_spec)
+    methods = [bench.MethodSpec(bench.PSO_BO, pso=replace(config.pso, omega=w)) for w in omegas]
     with _executor(args.jobs) as executor:
-        rows = bench.omega_sweep(objective_spec, omegas, seeds, budget,
-                                 config=config, executor=executor)
+        report = bench.run_experiment(methods, objective_spec, seeds, budget,
+                                      config=config, executor=executor)
+    failed = [(m.pso.omega, s) for m, r in zip(methods, report.methods) for s in r.missing_seeds]
+    if failed:
+        raise RuntimeError(f"sweep cells (omega, seed) failed: {', '.join(map(str, failed))}")
+    # averaged in the config's seed order, which the report's sorted AVE is not
+    rows = [(m.pso.omega, sum(r.per_seed_best[s] for s in seeds) / len(seeds))
+            for m, r in zip(methods, report.methods)]
 
     out = _output_dir(args, raw)
     with open(out / "sweep.csv", "w", encoding="utf-8", newline="") as fh:

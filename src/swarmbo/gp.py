@@ -15,7 +15,7 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs
 
 from .pso import PsoParams, run_pso
-from .space import Dimension, REAL, SearchSpace
+from .space import Dimension, DimensionMismatchError, REAL, SearchSpace, _check_len
 
 JITTER_START = 1e-10
 JITTER_MAX = 1e-4
@@ -101,6 +101,8 @@ def _matern(As: np.ndarray, Bs: np.ndarray, theta0) -> np.ndarray:
 def gram_matrix(xs: np.ndarray, params: KernelParams) -> np.ndarray:
     """Symmetric kernel matrix K_ij = k(x_i, x_j) with theta0 on the diagonal."""
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    if xs.shape[-1] != len(params.lengthscales):
+        raise DimensionMismatchError(len(params.lengthscales), xs.shape[-1])
     return _kernel(xs, xs, params.theta0, params.lengthscales)
 
 
@@ -132,7 +134,8 @@ class Posterior:
 
 
 def _normalize(space: SearchSpace, x: np.ndarray) -> np.ndarray:
-    return (np.asarray(x, dtype=float) - space.lower) / space.ranges
+    """Points of `space` mapped to the unit cube; a point of another width raises."""
+    return (_check_len(space, x) - space.lower) / space.ranges
 
 
 def _standardize(space: SearchSpace, xs, ys):

@@ -1,6 +1,10 @@
 """Shared test helpers."""
 
 import csv
+from dataclasses import replace
+
+from swarmbo.bench import PSO_BO, MethodSpec
+from swarmbo.pso import PsoParams
 
 
 def read_report_csv(path) -> list[dict]:
@@ -11,3 +15,8 @@ def read_report_csv(path) -> list[dict]:
              "min": float(row["min"]), "ave": float(row["ave"])}
             for row in csv.DictReader(fh)
         ]
+
+
+def sweep_methods(omegas, pso=PsoParams()) -> list[MethodSpec]:
+    """The methods `swarmbo sweep` runs: PSO-BO with `pso` and each omega in turn."""
+    return [MethodSpec(PSO_BO, pso=replace(pso, omega=w)) for w in omegas]

@@ -8,13 +8,13 @@ PUBLIC = [
     "GpModel", "INTEGER", "KernelParams", "MethodSpec", "ObjectiveSpec", "Posterior",
     "PsoParams", "PsoResult", "REAL", "SearchSpace", "clamp", "default_space", "ei",
     "eval_objective", "evaluate", "fit_hyperparams", "fit_model", "gram_matrix",
-    "log_marginal_likelihood", "materialize", "omega_sweep", "pi", "predict", "run_bo",
-    "run_experiment", "run_local_bo", "run_pso", "sample_uniform", "ucb",
+    "log_marginal_likelihood", "materialize", "pi", "predict", "run_bo", "run_experiment",
+    "run_pso", "sample_uniform", "ucb",
 ]
 
 
 def test_all_is_the_pinned_list():
-    assert len(PUBLIC) == 35
+    assert len(PUBLIC) == 33
     assert sorted(swarmbo.__all__) == PUBLIC
 
 

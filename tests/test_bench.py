@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import yaml
 
 from swarmbo import bench
 from swarmbo.acquisition import EI, PI, UCB, AcquisitionSpec, evaluate
@@ -16,19 +17,16 @@ from swarmbo.bench import (
     eval_objective,
     grid_points,
     local_ascent,
-    make_objective,
-    omega_sweep,
     run_experiment,
-    run_local_bo,
     run_method_cell,
     write_report_csv,
 )
 from swarmbo.boloop import BoConfig, ObjectiveFailureError, component_rng
 from swarmbo.gp import KernelParams, fit_model
-from swarmbo.pso import OmegaOutOfRangeError
+from swarmbo.cli import EXIT_CONFIG, EXIT_RUNTIME, main
 from swarmbo.space import Dimension, DimensionMismatchError, INTEGER, REAL, SearchSpace
 
-from helpers import read_report_csv
+from helpers import read_report_csv, sweep_methods
 
 BRANIN_OPT = 0.397887357729738  # value at (pi, 2.275), frozen via mpmath
 HARTMANN3_OPT = -3.86278
@@ -268,10 +266,10 @@ class TestLocalAscent:
 
     def test_run_local_bo_deterministic(self):
         spec = ObjectiveSpec("sphere", dims=1, negate=True)
-        config = BoConfig(space=default_space(spec), init_count=3, iterations=2, seed=4)
-        a = run_local_bo(config, make_objective(spec, 4))
-        b = run_local_bo(config, make_objective(spec, 4))
-        assert np.array_equal(a.incumbent_trace, b.incumbent_trace)
+        config = BoConfig(space=default_space(spec), init_count=3)
+        a = run_method_cell(MethodSpec(LOCAL_BO), spec, config, 4, 5)
+        b = run_method_cell(MethodSpec(LOCAL_BO), spec, config, 4, 5)
+        assert np.array_equal(a.trace, b.trace)
 
 
 
@@ -530,14 +528,16 @@ class TestRunExperiment:
                            budget=5, config=BoConfig(space=default_space(spec), init_count=5))
         assert made == []  # checked before any cell runs
 
-    def test_duplicate_method_kind_rejected(self, monkeypatch):
+    def test_duplicate_method_kind_runs(self):
+        # "each kind once" is a rule of `compare`'s kind-named outputs, not of the library
         spec = ObjectiveSpec("sphere", dims=1, negate=True)
-        made = []
-        monkeypatch.setattr(bench, "make_objective", lambda *args: made.append(args))
         methods = [MethodSpec(LOCAL_BO), MethodSpec(RANDOM_SEARCH), MethodSpec(LOCAL_BO, restarts=2)]
-        with pytest.raises(ValueError, match="'local_bo' is listed twice"):
-            run_experiment(methods, spec, [0, 1], budget=8)
-        assert made == []  # checked before any cell runs
+        report = run_experiment(methods, spec, [0, 1], budget=8)
+        assert [m.kind for m in report.methods] == [LOCAL_BO, RANDOM_SEARCH, LOCAL_BO]
+        config = BoConfig(space=default_space(spec))
+        for method, m in zip(methods, report.methods):  # rows in method order
+            assert m.per_seed_best == {s: run_method_cell(method, spec, config, s, 8).best_value
+                                       for s in (0, 1)}
 
     def test_duplicate_seeds_rejected(self, monkeypatch):
         spec = ObjectiveSpec("sphere", dims=1, negate=True)
@@ -553,10 +553,13 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="need at least one method"):
             run_experiment([], spec, [0, 1], budget=3)
 
-    def test_needs_two_seeds(self):
+    def test_one_seed_runs(self):
+        # `compare` needs two seeds; the library runs one
         spec = ObjectiveSpec("sphere", dims=1, negate=True)
-        with pytest.raises(ValueError):
-            run_experiment([MethodSpec(RANDOM_SEARCH)], spec, [1], budget=3)
+        report = run_experiment([MethodSpec(RANDOM_SEARCH)], spec, [1], budget=3)
+        (m,) = report.methods
+        assert report.seeds == [1] and list(m.per_seed_best) == [1]
+        assert m.max == m.min == m.ave
 
     def test_csv_round_trip(self, tmp_path):
         spec = ObjectiveSpec("sphere", dims=1, negate=True)
@@ -571,40 +574,54 @@ class TestRunExperiment:
 
 
 class TestOmegaSweep:
+    """The inertia-weight sweep: run_experiment over sweep_methods, and `swarmbo sweep`."""
+
+    def _config(self, tmp_path, omegas, seeds):
+        path = tmp_path / "sweep.yaml"
+        path.write_text(yaml.safe_dump({
+            "objective": {"name": "sphere", "dims": 1, "negate": True},
+            "sweep": {"omegas": omegas, "seeds": seeds, "budget": 8},
+        }), encoding="utf-8")
+        return str(path)
+
     def test_nine_rows(self):
         spec = ObjectiveSpec("sphere", dims=1, negate=True)
         omegas = [round(0.1 * k, 1) for k in range(1, 10)]
-        rows = omega_sweep(spec, omegas, [0, 1], budget=8)
-        assert len(rows) == 9
-        assert [w for w, _ in rows] == omegas
-        assert all(np.isfinite(ave) for _, ave in rows)
+        report = run_experiment(sweep_methods(omegas), spec, [0, 1], budget=8)
+        assert len(report.methods) == 9
+        assert all(m.kind == PSO_BO and not m.missing_seeds for m in report.methods)
+        assert all(np.isfinite(m.ave) for m in report.methods)
 
-    def test_unstable_omega_rejected(self):
-        spec = ObjectiveSpec("sphere", dims=1, negate=True)
-        with pytest.raises(OmegaOutOfRangeError, match="1.5"):
-            omega_sweep(spec, [0.5, 1.5], [0, 1], budget=8)
+    def test_unstable_omega_rejected(self, tmp_path, capsys, monkeypatch):
+        made = []
+        monkeypatch.setattr(bench, "make_objective", lambda *args: made.append(args))
+        out = tmp_path / "o"
+        argv = ["sweep", "--config", self._config(tmp_path, [0.5, 1.5], [0, 1]),
+                "--output-dir", str(out)]
+        assert main(argv) == EXIT_CONFIG
+        assert "1.5" in capsys.readouterr().err
+        assert made == [] and not out.exists()
 
     def test_one_seed(self):
         spec = ObjectiveSpec("sphere", dims=1, negate=True)
-        rows = omega_sweep(spec, [0.5, 0.9], [3], budget=8)
-        assert [w for w, _ in rows] == [0.5, 0.9]
-        assert all(np.isfinite(ave) for _, ave in rows)
+        report = run_experiment(sweep_methods([0.5, 0.9]), spec, [3], budget=8)
+        assert [list(m.per_seed_best) for m in report.methods] == [[3], [3]]
+        assert all(np.isfinite(m.ave) for m in report.methods)
 
     def test_no_omegas_rejected(self):
         spec = ObjectiveSpec("sphere", dims=1, negate=True)
         with pytest.raises(ValueError, match="need at least one method"):
-            omega_sweep(spec, [], [0, 1], budget=8)
+            run_experiment(sweep_methods([]), spec, [0, 1], budget=8)
 
     def test_duplicate_seeds_rejected(self, monkeypatch):
         spec = ObjectiveSpec("sphere", dims=1, negate=True)
         made = []
         monkeypatch.setattr(bench, "make_objective", lambda *args: made.append(args))
         with pytest.raises(ValueError, match=r"duplicate seeds in \[3, 3\]"):
-            omega_sweep(spec, [0.5], [3, 3], budget=8)
+            run_experiment(sweep_methods([0.5]), spec, [3, 3], budget=8)
         assert made == []
 
-    def test_any_failed_cell_fails_the_sweep(self, monkeypatch):
-        spec = ObjectiveSpec("sphere", dims=1, negate=True)
+    def test_any_failed_cell_fails_the_sweep(self, tmp_path, capsys, monkeypatch):
         real = bench.make_objective
 
         def make(spec, seed):
@@ -612,11 +629,16 @@ class TestOmegaSweep:
             return (lambda x: float("nan")) if seed == 1 else fn
 
         monkeypatch.setattr(bench, "make_objective", make)
-        with pytest.raises(ObjectiveFailureError):
-            omega_sweep(spec, [0.8], [0, 1], budget=8)
+        out = tmp_path / "o"
+        argv = ["sweep", "--config", self._config(tmp_path, [0.5, 0.8], [0, 1]),
+                "--output-dir", str(out)]
+        assert main(argv) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert "(0.5, 1)" in err and "(0.8, 1)" in err
+        assert not (out / "sweep.csv").exists()
 
     def test_deterministic(self):
         spec = ObjectiveSpec("sphere", dims=1, negate=True)
-        a = omega_sweep(spec, [0.8], [0, 1], budget=8)
-        b = omega_sweep(spec, [0.8], [0, 1], budget=8)
-        assert a == b
+        a = run_experiment(sweep_methods([0.8]), spec, [0, 1], budget=8)
+        b = run_experiment(sweep_methods([0.8]), spec, [0, 1], budget=8)
+        assert a.methods[0].per_seed_best == b.methods[0].per_seed_best

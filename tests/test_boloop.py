@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 
 from swarmbo import gp
 from swarmbo.acquisition import AcquisitionSpec
-from swarmbo.bench import ObjectiveSpec, default_space, make_objective, run_local_bo
+from swarmbo.bench import (
+    LOCAL_BO, MethodSpec, ObjectiveSpec, default_space, make_objective, run_method_cell,
+)
 from swarmbo.boloop import (
     BO,
     BoConfig,
@@ -250,8 +252,9 @@ class TestWarmStart:
 
     def test_local_bo_is_warm_started_too(self, monkeypatch):
         fits = self.spy(monkeypatch)
-        run_local_bo(quick_config(init_count=3, iterations=3), lambda x: float(x[0]),
-                     restarts=2, max_steps=5)
+        run_method_cell(MethodSpec(LOCAL_BO, restarts=2, max_steps=5),
+                        ObjectiveSpec("sphere", dims=1), quick_config(init_count=3), 3, 6)
+        assert len(fits) == 3
         assert fits[0]["start"] is None
         assert all(f["start"] is prev["fitted"] for prev, f in zip(fits, fits[1:]))
 

@@ -1,6 +1,5 @@
 import json
 import os
-import re
 import subprocess
 import sys
 import types
@@ -20,7 +19,6 @@ from swarmbo.bench import (
     PSO_BO,
     RANDOM_SEARCH,
     default_space,
-    omega_sweep,
     run_experiment,
 )
 from swarmbo.acquisition import AcquisitionSpec
@@ -32,7 +30,7 @@ from swarmbo.cli import (
 from swarmbo.gp import FitBounds
 from swarmbo.pso import PsoParams
 
-from helpers import read_report_csv
+from helpers import read_report_csv, sweep_methods
 
 SPHERE_1D = {"name": "sphere", "dims": 1, "negate": True}
 
@@ -215,7 +213,9 @@ class TestCompare:
                             for m in report.methods]
         assert bests[0][0] != bests[1][0]
 
-    def test_duplicate_method_kind_writes_nothing(self, tmp_path, capsys):
+    def test_duplicate_method_kind_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        made = []
+        monkeypatch.setattr(bench, "make_objective", lambda *args: made.append(args))
         cfg = write_config(tmp_path / "dup.yaml", {
             "objective": SPHERE_1D,
             "experiment": {"methods": [{"kind": "pso_bo"}, {"kind": "random_search"},
@@ -226,6 +226,7 @@ class TestCompare:
         assert main(["compare", "--config", cfg, "--output-dir", str(out)]) == EXIT_CONFIG
         assert "'pso_bo' is listed twice" in capsys.readouterr().err
         assert not out.exists()
+        assert made == []  # rejected before any cell runs
 
     def test_grid_over_cap_reports_cause(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "grid.yaml", {
@@ -259,7 +260,8 @@ class TestSweep:
         spec = ObjectiveSpec(**SPHERE_1D)
         config = BoConfig(space=default_space(spec), pso=PsoParams(population=6, max_iters=3),
                           init_count=3, gp_bounds=FitBounds(log_lengthscale=(1.5, 2.0)))
-        assert rows == omega_sweep(spec, omegas, [0, 1], 8, config=config)
+        report = run_experiment(sweep_methods(omegas, config.pso), spec, [0, 1], 8, config=config)
+        assert rows == [(w, m.ave) for w, m in zip(omegas, report.methods)]
         default = self._rows(self._config(tmp_path, omegas, name="default"), tmp_path / "default")
         assert rows != default
 
@@ -373,21 +375,6 @@ def test_every_schema_kind_is_checked():
             assert kind == tuple[float, float]
         else:
             assert kind in (float, int, bool, str), f"{owner}: unchecked kind {kind}"
-
-
-def test_readme_example_config_parses(tmp_path):
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    (block,) = re.findall(r"Example config covering all sections:\n\n```yaml\n(.*?)```", readme,
-                          re.DOTALL)
-    path = tmp_path / "example.yaml"
-    path.write_text(block, encoding="utf-8")
-    raw = load_config(path)
-    assert set(raw) == set(_SECTIONS) - {"output_dir"}
-    spec = ObjectiveSpec(**raw["objective"])
-    config = _parse_bo_config(raw, spec, raw["seed"])
-    assert [d.name for d in config.space.dims] == ["x0", "x1"] and config.iterations == 30
-    assert [m.kind for m in _parse_methods(raw["experiment"]["methods"])] == [
-        "pso_bo", "random_search", "local_bo"]
 
 
 @pytest.mark.parametrize("where", ["objective", "pso", "gp", "method"])

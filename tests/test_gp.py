@@ -607,3 +607,42 @@ class TestNonFiniteData:
     def test_non_finite_kernel_params_rejected(self, kwargs):
         with pytest.raises(InvalidParamsError, match="finite"):
             KernelParams(**{"theta0": 1.0, "lengthscales": [0.5], "noise_var": 0.0, **kwargs})
+
+
+class TestPointWidth:
+    """A point whose width differs from the kernel's or the space's is rejected,
+    not broadcast into a different point."""
+
+    WIDTHS = pytest.mark.parametrize("width", [1, 3], ids=["narrower", "wider"])
+
+    @staticmethod
+    def data(width):
+        rng = np.random.default_rng(5)
+        return rng.random((6, width)), rng.standard_normal(6)
+
+    @WIDTHS
+    def test_gram_matrix(self, width):
+        params = KernelParams(theta0=1.0, lengthscales=[0.5, 0.5], noise_var=0.0)
+        with pytest.raises(DimensionMismatchError, match=f"point has {width} coordinates"):
+            gram_matrix(np.zeros((2, width)), params)
+
+    @WIDTHS
+    def test_predict(self, width):
+        xs, ys = self.data(2)
+        model = fit_model(unit_box(2), xs, ys, KernelParams(1.0, [0.5, 0.5], 1e-6))
+        with pytest.raises(DimensionMismatchError, match=f"point has {width} coordinates"):
+            predict(model, np.full((1, width), 0.3))
+        with pytest.raises(DimensionMismatchError):
+            predict(model, np.full(width, 0.3))
+
+    @WIDTHS
+    def test_fit_model(self, width):
+        xs, ys = self.data(width)
+        with pytest.raises(DimensionMismatchError, match=f"point has {width} coordinates"):
+            fit_model(unit_box(2), xs, ys, KernelParams(1.0, [0.5, 0.5], 1e-6))
+
+    @WIDTHS
+    def test_fit_hyperparams(self, width):
+        xs, ys = self.data(width)
+        with pytest.raises(DimensionMismatchError, match=f"point has {width} coordinates"):
+            fit_hyperparams(unit_box(2), xs, ys, np.random.default_rng(0))
