@@ -21,7 +21,6 @@ class AcquisitionSpec:
     kind: str = UCB
     gamma: float = 2.0  # UCB exploration weight
     xi: float = 0.01  # EI/PI improvement margin
-    incumbent: float = float("-inf")  # best observed value, used by EI/PI
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -70,11 +69,12 @@ def pi(post: Posterior, incumbent: float, xi: float = 0.0):
     return float(val) if val.ndim == 0 else val
 
 
-def evaluate(spec: AcquisitionSpec, model: GpModel, x):
-    """Score a point (or batch) under the configured acquisition."""
+def evaluate(spec: AcquisitionSpec, model: GpModel, x, incumbent: float = float("-inf")):
+    """Score a point (or batch) under the configured acquisition; EI and PI
+    measure improvement on `incumbent`, the best value observed so far."""
     post = predict(model, x)
     if spec.kind == UCB:
         return ucb(post, spec.gamma)
     if spec.kind == EI:
-        return ei(post, spec.incumbent, spec.xi)
-    return pi(post, spec.incumbent, spec.xi)
+        return ei(post, incumbent, spec.xi)
+    return pi(post, incumbent, spec.xi)

@@ -413,7 +413,9 @@ def run_experiment(methods: list[MethodSpec], objective_spec: ObjectiveSpec,
         try:
             return run_method_cell(methods[i], objective_spec, config, seed, budget)
         except Exception as exc:
-            log.warning("cell (%s, seed=%d) failed: %s", methods[i].kind, seed, exc)
+            m = methods[i]
+            omega = "" if m.pso is None else f", omega={m.pso.omega!r}"
+            log.warning("cell (method %d: %s%s, seed=%d) failed: %s", i, m.kind, omega, seed, exc)
             return exc
 
     mapper = executor.map if executor is not None else map

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import logging
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,25 +44,6 @@ class Observation:
     phase: str  # INIT or BO
 
 
-@dataclass
-class ObservationHistory:
-    records: list[Observation] = field(default_factory=list)
-
-    def __len__(self):
-        return len(self.records)
-
-    @property
-    def points(self) -> np.ndarray:
-        return np.array([r.point for r in self.records])
-
-    @property
-    def values(self) -> np.ndarray:
-        return np.array([r.y for r in self.records])
-
-    def best(self) -> Observation:
-        return max(self.records, key=lambda r: r.y)
-
-
 @dataclass(frozen=True)
 class BoConfig:
     space: SearchSpace
@@ -89,7 +70,7 @@ class BoConfig:
 class BoResult:
     best_point: np.ndarray  # materialized
     best_value: float
-    history: ObservationHistory
+    history: list[Observation]
     incumbent_trace: np.ndarray
     n_evaluations: int
 
@@ -113,28 +94,13 @@ def _observe(space, objective, x_raw, index, iteration, phase) -> Observation:
                        y=y, iteration=iteration, phase=phase)
 
 
-def init_design(config: BoConfig, objective, rng: np.random.Generator) -> ObservationHistory:
+def init_design(config: BoConfig, objective, rng: np.random.Generator) -> list[Observation]:
     """Uniform initial design of `init_count` evaluated points."""
-    history = ObservationHistory()
-    for i in range(config.init_count):
-        x = sample_uniform(config.space, rng)
-        history.records.append(_observe(config.space, objective, x, i, i, INIT))
-    return history
+    return [_observe(config.space, objective, sample_uniform(config.space, rng), i, i, INIT)
+            for i in range(config.init_count)]
 
 
-def _fit_surrogate(config: BoConfig, history: ObservationHistory, t: int,
-                   start: gp.KernelParams | None = None) -> gp.GpModel:
-    """The GP over the history, its hyperparameter swarm seeded with `start`."""
-    xs = history.points
-    ys = history.values
-    params = gp.fit_hyperparams(
-        config.space, xs, ys, component_rng(config.seed, f"gpfit:{t}"),
-        bounds=config.gp_bounds, noise_var=config.noise_var, start=start,
-    )
-    return gp.fit_model(config.space, xs, ys, params)
-
-
-def propose_next(config: BoConfig, history: ObservationHistory, t: int,
+def propose_next(config: BoConfig, history: list[Observation], t: int,
                  maximizer=None, start: gp.KernelParams | None = None,
                  ) -> tuple[np.ndarray, gp.KernelParams | None]:
     """Fit the surrogate and maximize the acquisition over the search space.
@@ -145,16 +111,21 @@ def propose_next(config: BoConfig, history: ObservationHistory, t: int,
     `maximizer(space, surface, seed_tag)` may replace the swarm (used by the
     local-ascent baseline); the surface is vectorized over row-batches.
     """
+    xs = np.array([r.point for r in history])
+    ys = np.array([r.y for r in history])
     try:
-        model = _fit_surrogate(config, history, t, start=start)
+        params = gp.fit_hyperparams(
+            config.space, xs, ys, component_rng(config.seed, f"gpfit:{t}"),
+            bounds=config.gp_bounds, noise_var=config.noise_var, start=start,
+        )
+        model = gp.fit_model(config.space, xs, ys, params)
     except gp.FactorizationFailureError:
         log.warning("surrogate factorization failed at step %d; falling back to random point", t)
         return sample_uniform(config.space, component_rng(config.seed, f"fallback:{t}")), start
-
-    spec = replace(config.acquisition, incumbent=float(np.max(history.values)))
+    incumbent = float(np.max(ys))
 
     def surface(X):
-        return evaluate(spec, model, X)
+        return evaluate(config.acquisition, model, X, incumbent)
 
     if maximizer is not None:
         return maximizer(config.space, surface, f"inner:{t}"), model.params
@@ -162,17 +133,15 @@ def propose_next(config: BoConfig, history: ObservationHistory, t: int,
     return result.best_position, model.params
 
 
-def bo_step(history: ObservationHistory, config: BoConfig, objective, t: int,
+def bo_step(history: list[Observation], config: BoConfig, objective, t: int,
             maximizer=None, start: gp.KernelParams | None = None,
-            ) -> tuple[Observation, gp.KernelParams | None]:
-    """One surrogate refresh + acquisition maximization + observation.
-
-    Returns (observation, kernel params to warm-start the next step's fit).
+            ) -> gp.KernelParams | None:
+    """One surrogate refresh + acquisition maximization + observation, appended
+    to `history`. Returns the kernel params to warm-start the next step's fit.
     """
     x_next, params = propose_next(config, history, t, maximizer=maximizer, start=start)
-    obs = _observe(config.space, objective, x_next, len(history), t, BO)
-    history.records.append(obs)
-    return obs, params
+    history.append(_observe(config.space, objective, x_next, len(history), t, BO))
+    return params
 
 
 def run_bo(config: BoConfig, objective, maximizer=None) -> BoResult:
@@ -183,12 +152,12 @@ def run_bo(config: BoConfig, objective, maximizer=None) -> BoResult:
     on which other runs share the process.
     """
     history = init_design(config, objective, component_rng(config.seed, "init"))
-    trace = [float(np.max(history.values))]
+    trace = [max(r.y for r in history)]
     params = None
     for t in range(1, config.iterations + 1):
-        _, params = bo_step(history, config, objective, t, maximizer=maximizer, start=params)
-        trace.append(max(trace[-1], history.records[-1].y))
-    best = history.best()
+        params = bo_step(history, config, objective, t, maximizer=maximizer, start=params)
+        trace.append(max(trace[-1], history[-1].y))
+    best = max(history, key=lambda r: r.y)
     return BoResult(
         best_point=best.materialized,
         best_value=best.y,

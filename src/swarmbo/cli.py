@@ -21,7 +21,7 @@ import sys
 import types
 import typing
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import MISSING, fields, is_dataclass, make_dataclass, replace
+from dataclasses import MISSING, asdict, fields, is_dataclass, make_dataclass, replace
 from numbers import Integral, Real
 from pathlib import Path
 
@@ -58,7 +58,7 @@ _SECTIONS = {
     "objective": bench.ObjectiveSpec,
     "space": list[make_dataclass("SpaceEntry",  # a Dimension, whose `kind` the config calls `type`
                                  [("name", str), ("type", str), ("lower", float), ("upper", float)])],
-    "acquisition": _hints(AcquisitionSpec, "kind", "gamma", "xi"),  # `incumbent` is loop state
+    "acquisition": AcquisitionSpec,
     "pso": PsoParams,
     "gp": FitBounds,
     "bo": _hints(BoConfig, "init_count", "iterations", "noise_var"),
@@ -208,26 +208,9 @@ def cmd_run(args) -> int:
     result = run_bo(config, bench.make_objective(objective_spec, seed))
 
     out = _output_dir(args, raw)
-    payload = {
-        "best_point": result.best_point.tolist(),
-        "best_value": result.best_value,
-        "incumbent_trace": result.incumbent_trace.tolist(),
-        "n_evaluations": result.n_evaluations,
-        "seed": seed,
-        "history": [
-            {
-                "point": r.point.tolist(),
-                "materialized": r.materialized.tolist(),
-                "y": r.y,
-                "iteration": r.iteration,
-                "phase": r.phase,
-            }
-            for r in result.history.records
-        ],
-        "metadata": _metadata(),
-    }
+    payload = {**asdict(result), "seed": seed, "metadata": _metadata()}
     with open(out / "result.json", "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, default=np.ndarray.tolist)
         fh.write("\n")
     bench.write_trace_csv(result.incumbent_trace, out / "trace.csv")
     print(f"best_point: {result.best_point.tolist()}")

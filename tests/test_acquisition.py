@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from swarmbo.acquisition import AcquisitionSpec, EI, PI, UCB, ei, evaluate, pi, ucb
@@ -21,10 +21,16 @@ class TestUcb:
         assert ucb(Posterior(mean=1.5, var=0.04), gamma=2.0) == pytest.approx(1.9)
 
     @given(st.floats(-5, 5), st.floats(0.01, 5), st.floats(0.01, 5), st.floats(0.1, 3))
+    @example(mu=0.0, v1=0.1, v2=0.10000000000000002, gamma=1.0)  # adjacent floats, one sqrt
+    @example(mu=0.0, v1=1.0, v2=4.0, gamma=1.0)
     def test_strictly_increasing_in_sigma(self, mu, v1, v2, gamma):
+        """Never decreasing in the variance, and strictly increasing once the two
+        variances differ by more than rounding (adjacent floats share a sqrt)."""
         lo, hi = sorted((v1, v2))
-        if hi > lo:
-            assert ucb(Posterior(mu, hi), gamma) > ucb(Posterior(mu, lo), gamma)
+        at_lo, at_hi = ucb(Posterior(mu, lo), gamma), ucb(Posterior(mu, hi), gamma)
+        assert at_hi >= at_lo
+        if hi >= lo * (1 + 1e-9):
+            assert at_hi > at_lo
 
 
 class TestEi:
@@ -85,9 +91,9 @@ class TestSpecAndDispatch:
 
     def test_ei_zero_at_incumbent_training_point(self, model):
         gp_model, xs = model
-        spec = AcquisitionSpec(kind=EI, xi=0.0, incumbent=2.0)
+        spec = AcquisitionSpec(kind=EI, xi=0.0)
         # jitter leaves a sigma of order 1e-6 at the training point
-        assert evaluate(spec, gp_model, [0.5]) == pytest.approx(0.0, abs=1e-5)
+        assert evaluate(spec, gp_model, [0.5], incumbent=2.0) == pytest.approx(0.0, abs=1e-5)
 
     def test_dispatch_matches_manual_composition(self, model):
         gp_model, _ = model
@@ -99,6 +105,6 @@ class TestSpecAndDispatch:
 
     def test_pi_dispatch(self, model):
         gp_model, _ = model
-        spec = AcquisitionSpec(kind=PI, xi=0.01, incumbent=1.5)
-        vals = evaluate(spec, gp_model, np.linspace(0, 1, 50)[:, None])
+        spec = AcquisitionSpec(kind=PI, xi=0.01)
+        vals = evaluate(spec, gp_model, np.linspace(0, 1, 50)[:, None], incumbent=1.5)
         assert np.all((vals >= 0) & (vals <= 1))

@@ -298,8 +298,8 @@ def gp_acquisition_surface(kind, d, t, seed):
     params = KernelParams(theta0=rng.uniform(0.5, 2.0), lengthscales=rng.uniform(0.05, 1.0, d),
                           noise_var=1e-6)
     model = fit_model(space, xs, ys, params)
-    spec = AcquisitionSpec(kind, incumbent=float(ys.max()))
-    return space, lambda X: evaluate(spec, model, X)
+    spec, incumbent = AcquisitionSpec(kind), float(ys.max())
+    return space, lambda X: evaluate(spec, model, X, incumbent)
 
 
 def assert_same_ascent(space, surface, seed, restarts, max_steps):
@@ -517,7 +517,7 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match=f"budget must be at least 1, got {budget}"):
             run_experiment([MethodSpec(kind) for kind in kinds], spec, [0, 1], budget=budget)
         assert made == []
-        assert "cell failed" not in caplog.text
+        assert "cell (" not in caplog.text
 
     def test_method_failing_on_every_seed_reraises(self, monkeypatch):
         spec = ObjectiveSpec("sphere", dims=1, negate=True)
@@ -621,7 +621,7 @@ class TestOmegaSweep:
             run_experiment(sweep_methods([0.5]), spec, [3, 3], budget=8)
         assert made == []
 
-    def test_any_failed_cell_fails_the_sweep(self, tmp_path, capsys, monkeypatch):
+    def test_any_failed_cell_fails_the_sweep(self, tmp_path, capsys, caplog, monkeypatch):
         real = bench.make_objective
 
         def make(spec, seed):
@@ -636,6 +636,10 @@ class TestOmegaSweep:
         err = capsys.readouterr().err
         assert "(0.5, 1)" in err and "(0.8, 1)" in err
         assert not (out / "sweep.csv").exists()
+        # each failed cell's warning names its method by position and omega
+        assert "cell (method 0: pso_bo, omega=0.5, seed=1) failed" in caplog.text
+        assert "cell (method 1: pso_bo, omega=0.8, seed=1) failed" in caplog.text
+        assert "seed=0) failed" not in caplog.text
 
     def test_deterministic(self):
         spec = ObjectiveSpec("sphere", dims=1, negate=True)

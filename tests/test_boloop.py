@@ -18,7 +18,6 @@ from swarmbo.boloop import (
     init_design,
     propose_next,
     run_bo,
-    _fit_surrogate,
 )
 from swarmbo.acquisition import evaluate
 from swarmbo.pso import PsoParams
@@ -42,19 +41,19 @@ class TestInitDesign:
         config = quick_config(init_count=5)
         history = init_design(config, lambda x: 0.0, component_rng(3, "init"))
         assert len(history) == 5
-        assert all(r.phase == INIT for r in history.records)
+        assert all(r.phase == INIT for r in history)
 
     def test_constant_objective(self):
         config = quick_config()
         history = init_design(config, lambda x: 0.0, component_rng(3, "init"))
-        assert np.all(history.values == 0.0)
+        assert all(r.y == 0.0 for r in history)
 
     def test_deterministic(self):
         config = quick_config()
         f = lambda x: float(x[0])
         a = init_design(config, f, component_rng(3, "init"))
         b = init_design(config, f, component_rng(3, "init"))
-        assert np.array_equal(a.points, b.points)
+        assert all(np.array_equal(p.point, q.point) for p, q in zip(a, b))
 
     def test_objective_failure_carries_index(self):
         def bad(x):
@@ -84,14 +83,14 @@ class TestBoStep:
         n = len(history)
         bo_step(history, config, f, t=1)
         assert len(history) == n + 1
-        assert history.records[-1].phase == BO
+        assert history[-1].phase == BO
 
     def test_duplicate_proposal_is_accepted(self):
         config = quick_config()
         f = lambda x: 1.0
         history = self._history(config, f)
         # duplicate an existing record to force a degenerate Gram downstream
-        history.records.append(replace(history.records[0], iteration=len(history)))
+        history.append(replace(history[0], iteration=len(history)))
         bo_step(history, config, f, t=1)
 
     def test_proposal_maximizes_acquisition_surface(self):
@@ -101,12 +100,16 @@ class TestBoStep:
         history = self._history(config, f)
         chosen, params = propose_next(config, history, t=1)
 
-        model = _fit_surrogate(config, history, t=1)
+        xs = np.array([r.point for r in history])
+        ys = np.array([r.y for r in history])
+        fitted = gp.fit_hyperparams(config.space, xs, ys, component_rng(config.seed, "gpfit:1"),
+                                    bounds=config.gp_bounds, noise_var=config.noise_var)
+        model = gp.fit_model(config.space, xs, ys, fitted)
         assert params == model.params
-        spec = replace(config.acquisition, incumbent=float(np.max(history.values)))
+        spec, incumbent = config.acquisition, float(np.max(ys))
         grid = np.linspace(0, 1, 10_000)[:, None]
-        grid_best = float(np.max(evaluate(spec, model, grid)))
-        chosen_val = float(evaluate(spec, model, chosen[None])[0])
+        grid_best = float(np.max(evaluate(spec, model, grid, incumbent)))
+        chosen_val = float(evaluate(spec, model, chosen[None], incumbent)[0])
         assert chosen_val >= grid_best - 1e-2
 
 
@@ -156,7 +159,7 @@ class TestRunBo:
         result = run_bo(config, lambda x: float(np.sin(8 * x[0])))
         assert np.all(np.diff(result.incumbent_trace) >= 0)
         assert result.best_value == result.incumbent_trace[-1]
-        assert result.best_value == float(np.max(result.history.values))
+        assert result.best_value == max(r.y for r in result.history)
 
     def test_full_run_determinism(self):
         config = quick_config(init_count=3, iterations=3, seed=21)
