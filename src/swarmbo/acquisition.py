@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 from .gp import GpModel, Posterior, predict
 
@@ -32,6 +31,10 @@ class AcquisitionSpec:
 
 
 def _norm_cdf(z):
+    # imported on first use: only EI and PI need it, and importing scipy.special
+    # takes about half the time of `import swarmbo.cli`
+    from scipy.special import erfc
+
     return 0.5 * erfc(-z / np.sqrt(2.0))
 
 

@@ -375,8 +375,8 @@ def run_method_cell(method: MethodSpec, objective_spec: ObjectiveSpec,
 
 
 def run_experiment(methods: list[MethodSpec], objective_spec: ObjectiveSpec,
-                   seeds: list[int], budget: int, config: BoConfig | None = None,
-                   executor=None) -> ExperimentReport:
+                   seeds: list[int], budget: int,
+                   config: BoConfig | None = None) -> ExperimentReport:
     """Run every method on every seed with identical budgets and aggregate.
 
     `config` holds the shared BO settings (default: the defaults over the
@@ -385,8 +385,7 @@ def run_experiment(methods: list[MethodSpec], objective_spec: ObjectiveSpec,
     sweep is PSO_BO methods that differ in `pso`); the report has one row per
     method, in order. A failed (method, seed) cell is logged and recorded as
     missing, never silently averaged; a method that fails on every seed raises
-    its first error. `executor`, if given, must provide a map() over the
-    independent cells (results are order-independent by construction).
+    its first error. Cells run one after another, in method then seed order.
     """
     if not methods:
         raise ValueError("need at least one method (a sweep: at least one omega)")
@@ -418,8 +417,7 @@ def run_experiment(methods: list[MethodSpec], objective_spec: ObjectiveSpec,
             log.warning("cell (method %d: %s%s, seed=%d) failed: %s", i, m.kind, omega, seed, exc)
             return exc
 
-    mapper = executor.map if executor is not None else map
-    results = dict(zip(cells, mapper(run_cell, cells)))
+    results = {cell: run_cell(cell) for cell in cells}
 
     reports = []
     for i, method in enumerate(methods):

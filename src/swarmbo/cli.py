@@ -12,7 +12,6 @@ hard error. Exit codes: 0 success, 1 runtime failure, 2 usage/config error.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import datetime
 import json
 import os
@@ -20,7 +19,6 @@ import socket
 import sys
 import types
 import typing
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, asdict, fields, is_dataclass, make_dataclass, replace
 from numbers import Integral, Real
 from pathlib import Path
@@ -31,7 +29,7 @@ import yaml
 from . import bench
 from .acquisition import AcquisitionSpec
 from .boloop import BoConfig, run_bo
-from .gp import FitBounds
+from .gp import FitBounds, one_blas_thread
 from .pso import PsoParams
 from .space import Dimension, SearchSpace
 
@@ -193,13 +191,6 @@ def _output_dir(args, raw) -> Path:
     return out
 
 
-def _executor(jobs):
-    """Context manager yielding a thread pool of `jobs` workers, or None for one job."""
-    if jobs is None:
-        jobs = os.cpu_count() or 1
-    return ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else contextlib.nullcontext()
-
-
 def cmd_run(args) -> int:
     raw = load_config(args.config)
     objective_spec = _parse_objective(raw)
@@ -236,9 +227,7 @@ def cmd_compare(args) -> int:
         if m.kind in [n.kind for n in methods[:i]]:
             raise ConfigError(f"method kind {m.kind!r} is listed twice (outputs are named by kind)")
 
-    with _executor(args.jobs) as executor:
-        report = bench.run_experiment(methods, objective_spec, seeds,
-                                      budget, config=config, executor=executor)
+    report = bench.run_experiment(methods, objective_spec, seeds, budget, config=config)
 
     out = _output_dir(args, raw)
     bench.write_report_json(report, out / "report.json")
@@ -260,9 +249,7 @@ def cmd_sweep(args) -> int:
     budget = section.get("budget", 35)
     config = _parse_bo_config(raw, objective_spec)
     methods = [bench.MethodSpec(bench.PSO_BO, pso=replace(config.pso, omega=w)) for w in omegas]
-    with _executor(args.jobs) as executor:
-        report = bench.run_experiment(methods, objective_spec, seeds, budget,
-                                      config=config, executor=executor)
+    report = bench.run_experiment(methods, objective_spec, seeds, budget, config=config)
     failed = [(m.pso.omega, s) for m, r in zip(methods, report.methods) for s in r.missing_seeds]
     if failed:
         raise RuntimeError(f"sweep cells (omega, seed) failed: {', '.join(map(str, failed))}")
@@ -301,7 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the YAML run config")
         p.add_argument("--output-dir", default=None, help="artifact directory")
         p.add_argument("--jobs", type=_worker_count, default=None,
-                       help="worker pool size (default: available parallelism)")
+                       help="worker count, at least 1; accepted for a process pool "
+                            "and without effect until then (cells run one by one)")
         if name == "run":  # compare and sweep take their seeds from the config
             p.add_argument("--seed", type=int, default=None, help="root seed override")
         p.set_defaults(fn=fn)
@@ -311,7 +299,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        # the process is the CLI's own, so it may set the BLAS state of the run
+        with one_blas_thread():
+            return args.fn(args)
     except (ConfigError, ValueError, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import types
 import typing
 from dataclasses import fields, is_dataclass
@@ -9,10 +10,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 import yaml
 
 import swarmbo
-from swarmbo import bench
+from swarmbo import bench, gp
 from swarmbo.bench import (
     LOCAL_BO,
     MethodSpec,
@@ -546,13 +548,23 @@ def test_config_error_exits_2_before_any_evaluation(tmp_path, capsys, caplog, mo
     assert not out.exists()
 
 
+def _record_objective_calls(monkeypatch, record):
+    """Patch bench.make_objective so that every evaluation first appends
+    `record()` to the returned list."""
+    seen = []
+    real = bench.make_objective
+
+    def make_objective(spec, seed):
+        fn = real(spec, seed)
+        return lambda x: seen.append(record()) or fn(x)
+
+    monkeypatch.setattr(bench, "make_objective", make_objective)
+    return seen
+
+
 def _count_evaluations(monkeypatch):
     """A list that gains one item per objective evaluation."""
-    calls = []
-    real = bench.make_objective
-    monkeypatch.setattr(bench, "make_objective", lambda spec, seed: (
-        lambda x, fn=real(spec, seed): calls.append(1) or fn(x)))
-    return calls
+    return _record_objective_calls(monkeypatch, lambda: 1)
 
 
 def test_non_integer_env_seed_exits_2_before_any_evaluation(tmp_path, capsys, monkeypatch):
@@ -615,10 +627,98 @@ def test_baseline_objective_failure_exits_1(tmp_path, capsys, monkeypatch):
     assert "runtime error: objective evaluation 0 failed: solver diverged" in err
 
 
-def test_cli_import_leaves_scipy_spatial_out():
+def _loaded_after_cli_import(module):
+    """Whether a fresh interpreter's `import swarmbo.cli` loads `module`."""
     src = str(Path(swarmbo.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, swarmbo.cli; print('scipy.spatial' in sys.modules)"
+    code = f"import sys, swarmbo.cli; print({module!r} in sys.modules)"
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, check=True, timeout=60)
-    assert result.stdout.strip() == "False"
+    return result.stdout.strip() == "True"
+
+
+def test_cli_import_leaves_scipy_spatial_out():
+    assert not _loaded_after_cli_import("scipy.spatial")
+
+
+def test_cli_import_leaves_scipy_special_out():
+    # only EI and PI need scipy.special (erfc), and import it on first use
+    assert not _loaded_after_cli_import("scipy.special")
+
+
+@pytest.mark.parametrize("command, jobs", [("compare", "4"), ("sweep", "3")])
+def test_cells_run_on_the_calling_thread(tmp_path, compare_config, monkeypatch, command, jobs):
+    # --jobs is accepted but starts no pool: every evaluation is on main's thread
+    threads = _record_objective_calls(monkeypatch, threading.get_ident)
+    sweep = {"omegas": [0.3, 0.6], "seeds": [0, 1], "budget": 8}
+    cfg = compare_config if command == "compare" else write_config(
+        tmp_path / "s.yaml", {"objective": dict(SPHERE_1D), "sweep": sweep})
+    assert main([command, "--config", cfg, "--output-dir", str(tmp_path / "o"),
+                 "--jobs", jobs]) == EXIT_OK
+    assert len(threads) == (3 if command == "compare" else 2) * 2 * 8
+    assert set(threads) == {threading.get_ident()}
+
+
+def _scipy_openblas():
+    blas = scipy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return blas.get("name") == "scipy-openblas"
+
+
+@pytest.mark.skipif(not _scipy_openblas(), reason="scipy's BLAS is not scipy-openblas")
+class TestOneBlasThread:
+    """main runs every command with scipy's OpenBLAS on one thread and restores
+    the caller's thread count on every exit."""
+
+    PRIOR = 2  # set before each test, so that a restored count shows on a 1-CPU machine
+
+    @pytest.fixture(autouse=True)
+    def blas_threads(self):
+        get, put = gp._blas_thread_functions()
+        original = get()
+        put(self.PRIOR)
+        try:
+            yield get
+        finally:
+            put(original)
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_one_thread_inside_every_cell(self, tmp_path, run_config, compare_config,
+                                          monkeypatch, blas_threads, command):
+        counts = _record_objective_calls(monkeypatch, blas_threads)
+        cfg = run_config if command == "run" else compare_config
+        assert main([command, "--config", cfg, "--output-dir", str(tmp_path / "o"),
+                     "--jobs", "4"]) == EXIT_OK
+        assert len(counts) == (6 if command == "run" else 3 * 2 * 8)
+        assert set(counts) == {1}
+        assert blas_threads() == self.PRIOR
+
+    def test_restored_after_runtime_error(self, tmp_path, run_config, monkeypatch, blas_threads):
+        counts = []
+
+        def diverge(x):
+            counts.append(blas_threads())
+            raise ValueError("solver diverged")
+
+        monkeypatch.setattr(bench, "make_objective", lambda spec, seed: diverge)
+        assert main(["run", "--config", run_config,
+                     "--output-dir", str(tmp_path / "o")]) == EXIT_RUNTIME
+        assert counts == [1]
+        assert blas_threads() == self.PRIOR
+
+    def test_restored_after_config_error(self, tmp_path, capsys, blas_threads):
+        cfg = write_config(tmp_path / "c.yaml", {"objective": dict(SPHERE_1D), "bo": {"x": 1}})
+        assert main(["run", "--config", cfg]) == EXIT_CONFIG
+        assert "unknown key(s) ['x']" in capsys.readouterr().err
+        assert blas_threads() == self.PRIOR
+
+    def test_without_the_symbols_nothing_changes(self, tmp_path, compare_config, monkeypatch,
+                                                 blas_threads):
+        pinned, unpinned = tmp_path / "pinned", tmp_path / "unpinned"
+        argv = ["compare", "--config", compare_config, "--output-dir"]
+        assert main([*argv, str(pinned)]) == EXIT_OK
+        monkeypatch.setattr(gp, "_lapack_library", lambda: types.SimpleNamespace())
+        assert gp._blas_thread_functions() is None
+        counts = _record_objective_calls(monkeypatch, blas_threads)
+        assert main([*argv, str(unpinned)]) == EXIT_OK
+        assert set(counts) == {self.PRIOR}
+        assert (pinned / "report.json").read_bytes() == (unpinned / "report.json").read_bytes()
