@@ -9,11 +9,15 @@ variance.
 from __future__ import annotations
 
 import contextlib
+import os
+import sys
 from dataclasses import dataclass, field, fields
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from importlib.util import module_from_spec, spec_from_loader
 from numbers import Real
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
+import scipy
 
 from .pso import PsoParams, run_pso
 from .space import Dimension, DimensionMismatchError, REAL, SearchSpace, _check_len
@@ -21,18 +25,40 @@ from .space import Dimension, DimensionMismatchError, REAL, SearchSpace, _check_
 JITTER_START = 1e-10
 JITTER_MAX = 1e-4
 
-# the LAPACK routines behind scipy.linalg.cholesky(lower=True), cho_solve and
-# solve_triangular(lower=True) on a Fortran-ordered factor, called directly: no
-# finite checks, batch decorator or array copies per call
-_potrf, _potrs, _trtrs = get_lapack_funcs(("potrf", "potrs", "trtrs"), (np.empty(0),))
+
+def _load_flapack():
+    """scipy's Fortran LAPACK extension, loaded from its file without importing
+    the scipy.linalg package (which pulls in scipy's array-API layer and
+    numpy.f2py, about half of the CLI's start-up). An already-loaded module is
+    reused, and a loaded one is registered, so scipy.linalg reuses it too."""
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    directory = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    path = os.path.join(directory, "_flapack" + EXTENSION_SUFFIXES[0])
+    if not os.path.isfile(path):
+        raise ImportError(f"scipy's LAPACK extension _flapack is not in {directory}", name=name)
+    loader = ExtensionFileLoader(name, path)
+    module = module_from_spec(spec_from_loader(name, loader))
+    loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
+# the double-precision LAPACK routines behind scipy.linalg.cholesky(lower=True),
+# cho_solve and solve_triangular(lower=True) on a Fortran-ordered factor, called
+# directly: no finite checks, batch decorator or array copies per call. They are
+# the objects scipy.linalg.lapack.dpotrf, dpotrs and dtrtrs, so the bits match
+# scipy.linalg's. `import scipy` above comes first: it is cheap, and on Windows
+# it registers the DLL directory of scipy's bundled OpenBLAS.
+_flapack = _load_flapack()
+_potrf, _potrs, _trtrs = _flapack.dpotrf, _flapack.dpotrs, _flapack.dtrtrs
 
 
 def _lapack_library():
     """scipy's LAPACK extension opened with ctypes, or None; the symbols of the
     BLAS library it links resolve through it."""
     import ctypes  # numpy has loaded it already; kept off gp's import path anyway
-
-    from scipy.linalg import _flapack
 
     try:
         return ctypes.CDLL(_flapack.__file__)

@@ -1,19 +1,14 @@
 import json
-import os
-import subprocess
-import sys
 import threading
 import types
 import typing
 from dataclasses import fields, is_dataclass
-from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy
 import yaml
 
-import swarmbo
 from swarmbo import bench, gp
 from swarmbo.bench import (
     LOCAL_BO,
@@ -33,7 +28,7 @@ from swarmbo.cli import (
 from swarmbo.gp import FitBounds
 from swarmbo.pso import PsoParams
 
-from helpers import read_report_csv, sweep_methods
+from helpers import read_report_csv, run_fresh_interpreter, sweep_methods
 
 SPHERE_1D = {"name": "sphere", "dims": 1, "negate": True}
 
@@ -627,23 +622,21 @@ def test_baseline_objective_failure_exits_1(tmp_path, capsys, monkeypatch):
     assert "runtime error: objective evaluation 0 failed: solver diverged" in err
 
 
-def _loaded_after_cli_import(module):
-    """Whether a fresh interpreter's `import swarmbo.cli` loads `module`."""
-    src = str(Path(swarmbo.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+@pytest.mark.parametrize("module", ["scipy.spatial", "scipy.special", "scipy.linalg"])
+def test_cli_import_leaves_scipy_module_out(module):
+    # only EI and PI need scipy.special (erfc), and import it on first use; gp
+    # loads scipy's LAPACK extension from its file, without scipy.linalg
     code = f"import sys, swarmbo.cli; print({module!r} in sys.modules)"
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                            text=True, check=True, timeout=60)
-    return result.stdout.strip() == "True"
+    assert run_fresh_interpreter(code) == "False"
 
 
-def test_cli_import_leaves_scipy_spatial_out():
-    assert not _loaded_after_cli_import("scipy.spatial")
-
-
-def test_cli_import_leaves_scipy_special_out():
-    # only EI and PI need scipy.special (erfc), and import it on first use
-    assert not _loaded_after_cli_import("scipy.special")
+def test_ucb_run_leaves_scipy_linalg_out(tmp_path, run_config):
+    # a whole run, its LAPACK calls and its BLAS-thread pin included, still has
+    # no scipy.linalg: the import saved at start-up is not moved into the run
+    argv = ["run", "--config", run_config, "--output-dir", str(tmp_path / "o")]
+    code = f"import sys; from swarmbo import cli; print(cli.main({argv!r}), 'scipy.linalg' in sys.modules)"
+    assert run_fresh_interpreter(code).splitlines()[-1] == "0 False"
+    assert load_result(tmp_path / "o")["n_evaluations"] == 6
 
 
 @pytest.mark.parametrize("command, jobs", [("compare", "4"), ("sweep", "3")])

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,8 @@ from swarmbo.gp import (
     predict,
 )
 from swarmbo.space import Dimension, DimensionMismatchError, REAL, SearchSpace
+
+from helpers import run_fresh_interpreter
 
 # frozen with mpmath at 30 digits: (1 + sqrt(5) + 5/3) * exp(-sqrt(5))
 MATERN52_AT_UNIT_R2 = 0.523994108831820310592713250761
@@ -646,3 +650,31 @@ class TestPointWidth:
         xs, ys = self.data(width)
         with pytest.raises(DimensionMismatchError, match=f"point has {width} coordinates"):
             fit_hyperparams(unit_box(2), xs, ys, np.random.default_rng(0))
+
+
+class TestLapackBinding:
+    """gp binds scipy's own LAPACK objects without importing scipy.linalg."""
+
+    # in a fresh interpreter, after the imports in either order: whether gp's
+    # routines are scipy.linalg.lapack's, whether one _flapack module is loaded,
+    # and whether scipy.linalg.cholesky still works and gives gp's factor
+    CHECK = """
+import numpy as np
+from scipy.linalg import _flapack, cholesky, lapack
+from swarmbo import gp
+a = np.array([[4.0, 2.0, 0.4], [2.0, 3.0, 0.5], [0.4, 0.5, 2.0]])
+print(gp._potrf is lapack.dpotrf, gp._potrs is lapack.dpotrs, gp._trtrs is lapack.dtrtrs,
+      _flapack is gp._flapack, np.array_equal(cholesky(a, lower=True), gp._potrf(a, lower=1, clean=1)[0]))
+"""
+
+    @pytest.mark.parametrize("imports", ["import swarmbo.cli; import scipy.linalg",
+                                         "import scipy.linalg; import swarmbo.cli"],
+                             ids=["swarmbo_first", "scipy_linalg_first"])
+    def test_routines_are_scipy_linalg_lapacks(self, imports):
+        assert run_fresh_interpreter(imports + "\n" + self.CHECK) == "True True True True True"
+
+    def test_missing_extension_names_the_directory(self, monkeypatch):
+        monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+        monkeypatch.setattr(gp, "EXTENSION_SUFFIXES", [".missing"])
+        with pytest.raises(ImportError, match="_flapack is not in .*linalg"):
+            gp._load_flapack()
