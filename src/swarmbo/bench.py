@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .boloop import BoConfig, call_objective, component_rng, run_bo
+from .boloop import BoConfig, BoResult, component_rng, observe, run_bo
 from .pso import PsoParams
 from .space import (
     Dimension,
@@ -24,8 +24,9 @@ from .space import (
     INTEGER,
     REAL,
     SearchSpace,
-    clamp,  # unused here since local_ascent clips its floats itself; kept as
-    # bench.clamp, the name perfbench's tracer patches
+    # unused here (local_ascent clips its floats itself, baselines evaluate through
+    # boloop.observe); kept as bench.clamp and bench.materialize, perfbench's tracer patches them
+    clamp,
     materialize,
     sample_uniform,
 )
@@ -126,6 +127,13 @@ def default_space(spec: ObjectiveSpec) -> SearchSpace:
     return SearchSpace(
         Dimension(f"x{j}", REAL, lo, hi) for j, (lo, hi) in enumerate(bounds)
     )
+
+
+def check_space_width(spec: ObjectiveSpec, space: SearchSpace):
+    """Raise ValueError unless `space` has one dimension per objective input."""
+    if space.dim != spec.dims:
+        raise ValueError(f"space has {space.dim} dimensions, objective {spec.name!r} "
+                         f"has dims={spec.dims}")
 
 
 def eval_objective(spec: ObjectiveSpec, x, rng: np.random.Generator | None = None) -> float:
@@ -282,14 +290,6 @@ def grid_points(space: SearchSpace, points_per_dim: int):
 # ---------------------------------------------------------------------------
 # experiment harness
 
-@dataclass(frozen=True)
-class CellResult:
-    best_point: np.ndarray
-    best_value: float
-    trace: np.ndarray
-    n_evaluations: int
-
-
 @dataclass
 class MethodReport:
     kind: str
@@ -336,12 +336,13 @@ class _CountingObjective:
 
 
 def run_method_cell(method: MethodSpec, objective_spec: ObjectiveSpec,
-                    config: BoConfig, seed: int, budget: int) -> CellResult:
+                    config: BoConfig, seed: int, budget: int) -> BoResult:
     """Run one (method, seed) cell with exactly `budget` objective evaluations.
 
     `config` is the template of the BO settings: a BO cell runs it with its own
     `seed` and `iterations = budget - init_count`, and with `method.pso` if set.
-    The baselines use only its space.
+    The baselines use only its space. Every kind returns the BoResult of its
+    history; `n_evaluations` is the count of objective calls.
     """
     objective = _CountingObjective(make_objective(objective_spec, seed))
     if method.kind in (PSO_BO, LOCAL_BO):
@@ -353,25 +354,20 @@ def run_method_cell(method: MethodSpec, objective_spec: ObjectiveSpec,
                                 restarts=method.restarts, max_steps=method.max_steps)
 
         result = run_bo(config, objective, maximizer=ascent if method.kind == LOCAL_BO else None)
-        return CellResult(result.best_point, result.best_value,
-                          result.incumbent_trace, objective.count)
-    # a baseline scans its lattice in order, then uniform draws, truncated to the
-    # budget: grid search pads a small lattice, random search has no lattice
-    space = config.space
-    if method.kind == GRID_SEARCH:
-        lattice, stream = grid_points(space, method.points_per_dim), "grid_pad"
     else:
-        lattice, stream = (), RANDOM_SEARCH
-    rng = component_rng(seed, stream)
-    draws = (sample_uniform(space, rng) for _ in itertools.count())
-    best_x, best_v, trace = None, -np.inf, []
-    for i, x in enumerate(itertools.islice(itertools.chain(lattice, draws), budget)):
-        x = materialize(space, x)
-        v = call_objective(objective, x, i)  # checked as in the BO loop
-        if v > best_v:
-            best_x, best_v = x, v
-        trace.append(best_v)
-    return CellResult(best_x, best_v, np.array(trace), objective.count)
+        # a baseline scans its lattice in order, then uniform draws, truncated to
+        # the budget: grid search pads a small lattice, random search has no lattice
+        space = config.space
+        if method.kind == GRID_SEARCH:
+            lattice, stream = grid_points(space, method.points_per_dim), "grid_pad"
+        else:
+            lattice, stream = (), RANDOM_SEARCH
+        rng = component_rng(seed, stream)
+        draws = (sample_uniform(space, rng) for _ in itertools.count())
+        points = itertools.islice(itertools.chain(lattice, draws), budget)
+        result = BoResult.from_history(
+            [observe(space, objective, x, i, i, method.kind) for i, x in enumerate(points)], 1)
+    return replace(result, n_evaluations=objective.count)
 
 
 def run_experiment(methods: list[MethodSpec], objective_spec: ObjectiveSpec,
@@ -400,6 +396,7 @@ def run_experiment(methods: list[MethodSpec], objective_spec: ObjectiveSpec,
         raise ValueError(f"budget must be at least 1, got {budget}")
     if config is None:
         config = BoConfig(space=default_space(objective_spec))
+    check_space_width(objective_spec, config.space)
     if budget <= config.init_count and any(m.kind in (PSO_BO, LOCAL_BO) for m in methods):
         raise ValueError("budget must exceed the initial-design size")
     for m in methods:
@@ -432,7 +429,7 @@ def run_experiment(methods: list[MethodSpec], objective_spec: ObjectiveSpec,
                 continue
             per_seed[seed] = res.best_value
             counts[seed] = res.n_evaluations
-            traces[seed] = res.trace
+            traces[seed] = res.incumbent_trace
         reports.append(MethodReport(kind=method.kind, per_seed_best=per_seed,
                                     eval_counts=counts, traces=traces,
                                     missing_seeds=missing))

@@ -7,6 +7,7 @@ so a full run is reproducible regardless of evaluation parallelism.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import zlib
 from dataclasses import dataclass
@@ -41,7 +42,7 @@ class Observation:
     materialized: np.ndarray  # integer dims rounded; what the objective saw
     y: float
     iteration: int
-    phase: str  # INIT or BO
+    phase: str  # INIT or BO, or a baseline's method kind
 
 
 @dataclass(frozen=True)
@@ -74,29 +75,37 @@ class BoResult:
     incumbent_trace: np.ndarray
     n_evaluations: int
 
+    @classmethod
+    def from_history(cls, history: list[Observation], first: int) -> BoResult:
+        """The record of a run: the best is the history's first maximum, and the
+        trace the running maximum from row `first - 1` on (the initial design's
+        best, then one row per BO step; a baseline's `first` is 1)."""
+        best = max(history, key=lambda r: r.y)
+        # Python's max keeps the earlier of equal values, as the best does
+        trace = list(itertools.accumulate((r.y for r in history), max))[first - 1:]
+        return cls(best_point=best.materialized, best_value=best.y, history=history,
+                   incumbent_trace=np.array(trace), n_evaluations=len(history))
 
-def call_objective(objective, x, index: int) -> float:
-    """objective(x) as a finite float, else ObjectiveFailureError (BO loop and baselines)."""
+
+def observe(space, objective, x_raw, index, iteration, phase) -> Observation:
+    """Evaluate the objective at x_raw, materialized, and record it: the one
+    evaluation step of the BO loop and the baselines. The value must be a
+    finite float, else ObjectiveFailureError names evaluation `index`."""
+    x_mat = materialize(space, x_raw)
     try:
-        y = float(objective(x))
+        y = float(objective(x_mat))
     except Exception as exc:
         raise ObjectiveFailureError(index, exc) from exc
     if not np.isfinite(y):
         # the GP cannot model it, and it would hide every later observation
         raise ObjectiveFailureError(index, f"non-finite value {y}")
-    return y
-
-
-def _observe(space, objective, x_raw, index, iteration, phase) -> Observation:
-    x_mat = materialize(space, x_raw)
-    y = call_objective(objective, x_mat, index)
     return Observation(point=np.asarray(x_raw, float), materialized=x_mat,
                        y=y, iteration=iteration, phase=phase)
 
 
 def init_design(config: BoConfig, objective, rng: np.random.Generator) -> list[Observation]:
     """Uniform initial design of `init_count` evaluated points."""
-    return [_observe(config.space, objective, sample_uniform(config.space, rng), i, i, INIT)
+    return [observe(config.space, objective, sample_uniform(config.space, rng), i, i, INIT)
             for i in range(config.init_count)]
 
 
@@ -140,7 +149,7 @@ def bo_step(history: list[Observation], config: BoConfig, objective, t: int,
     to `history`. Returns the kernel params to warm-start the next step's fit.
     """
     x_next, params = propose_next(config, history, t, maximizer=maximizer, start=start)
-    history.append(_observe(config.space, objective, x_next, len(history), t, BO))
+    history.append(observe(config.space, objective, x_next, len(history), t, BO))
     return params
 
 
@@ -152,16 +161,7 @@ def run_bo(config: BoConfig, objective, maximizer=None) -> BoResult:
     on which other runs share the process.
     """
     history = init_design(config, objective, component_rng(config.seed, "init"))
-    trace = [max(r.y for r in history)]
     params = None
     for t in range(1, config.iterations + 1):
         params = bo_step(history, config, objective, t, maximizer=maximizer, start=params)
-        trace.append(max(trace[-1], history[-1].y))
-    best = max(history, key=lambda r: r.y)
-    return BoResult(
-        best_point=best.materialized,
-        best_value=best.y,
-        history=history,
-        incumbent_trace=np.array(trace),
-        n_evaluations=len(history),
-    )
+    return BoResult.from_history(history, config.init_count)

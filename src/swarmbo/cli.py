@@ -144,8 +144,10 @@ def _parse_bo_config(raw, objective_spec: bench.ObjectiveSpec, seed: int = 0) ->
     """The BO settings every subcommand shares: the space, acquisition, pso, gp
     and bo sections (`space` defaults to the objective's canonical bounds)."""
     space = raw.get("space")
+    space = bench.default_space(objective_spec) if space is None else _parse_space(space)
+    bench.check_space_width(objective_spec, space)
     return BoConfig(
-        space=_parse_space(space) if space else bench.default_space(objective_spec),
+        space=space,
         acquisition=AcquisitionSpec(**raw.get("acquisition") or {}),
         pso=PsoParams(**raw.get("pso") or {}),
         seed=seed,

@@ -21,7 +21,7 @@ from swarmbo.bench import (
     run_method_cell,
     write_report_csv,
 )
-from swarmbo.boloop import BoConfig, ObjectiveFailureError, component_rng
+from swarmbo.boloop import BO, INIT, BoConfig, BoResult, ObjectiveFailureError, component_rng
 from swarmbo.gp import KernelParams, fit_model
 from swarmbo.cli import EXIT_CONFIG, EXIT_RUNTIME, main
 from swarmbo.space import Dimension, DimensionMismatchError, INTEGER, REAL, SearchSpace
@@ -269,7 +269,7 @@ class TestLocalAscent:
         config = BoConfig(space=default_space(spec), init_count=3)
         a = run_method_cell(MethodSpec(LOCAL_BO), spec, config, 4, 5)
         b = run_method_cell(MethodSpec(LOCAL_BO), spec, config, 4, 5)
-        assert np.array_equal(a.trace, b.trace)
+        assert np.array_equal(a.incumbent_trace, b.incumbent_trace)
 
 
 
@@ -364,7 +364,7 @@ class TestRandomSearch:
         spec = ObjectiveSpec("sphere", dims=2, negate=True)
         cell = run_method_cell(MethodSpec(RANDOM_SEARCH), spec,
                                BoConfig(space=default_space(spec)), 0, 1)
-        assert len(cell.trace) == 1 and cell.best_value == cell.trace[0]
+        assert len(cell.incumbent_trace) == 1 and cell.best_value == cell.incumbent_trace[0]
         assert cell.n_evaluations == 1
 
     def test_constant_objective(self, monkeypatch):
@@ -409,7 +409,7 @@ class TestGridSearch:
         rng = component_rng(3, "grid_pad")
         lattice = [[0.0, -2.0], [0.0, 2.0], [1.0, -2.0], [1.0, 2.0]]
         assert np.array_equal(seen, lattice + [bench.sample_uniform(space, rng) for _ in range(3)])
-        assert cell.n_evaluations == len(cell.trace) == 7
+        assert cell.n_evaluations == len(cell.incumbent_trace) == 7
 
     def test_large_lattice_is_truncated_to_the_budget(self, monkeypatch):
         space = SearchSpace([Dimension("a", REAL, 0, 1)])
@@ -427,7 +427,50 @@ class TestGridSearch:
             grid_points(space, 10)  # at the call, before any point is drawn
 
 
+class TestOneRecord:
+    """Every kind of cell returns the BoResult of the evaluations it made."""
+
+    # value 1 where the integer n is at least 2, else 0: the best is reached
+    # more than once, at different points
+    SPACE = SearchSpace([Dimension("a", REAL, 0, 1), Dimension("n", INTEGER, 0, 3)])
+
+    @pytest.mark.parametrize("method", [
+        MethodSpec(PSO_BO), MethodSpec(LOCAL_BO, restarts=2, max_steps=10),
+        MethodSpec(RANDOM_SEARCH), MethodSpec(GRID_SEARCH, points_per_dim=3),
+    ], ids=lambda m: m.kind)
+    def test_cell_is_the_record_of_its_history(self, monkeypatch, method):
+        seen, cell = run_baseline_cell(monkeypatch, method, self.SPACE, 9, seed=1,
+                                       value=lambda x: float(x[1] >= 2))
+        assert isinstance(cell, BoResult)
+        # the history holds exactly the points the objective saw, in order
+        assert np.array_equal([r.materialized for r in cell.history], seen)
+        ys = [float(x[1] >= 2) for x in seen]
+        assert [r.y for r in cell.history] == ys
+        bo = method.kind in (PSO_BO, LOCAL_BO)
+        assert [r.phase for r in cell.history] == ([INIT] * 5 + [BO] * 4 if bo
+                                                   else [method.kind] * 9)
+        # the first of tied maxima is the best
+        first = ys.index(1.0)
+        assert ys.count(1.0) > 1
+        assert cell.best_value == 1.0 and np.array_equal(cell.best_point, seen[first])
+        # running maximum from the initial design's last row (BoConfig's
+        # default init_count 5), or from the first evaluation for a baseline
+        start = 5 if bo else 1
+        assert np.array_equal(cell.incumbent_trace, np.maximum.accumulate(ys)[start - 1:])
+        assert cell.n_evaluations == len(seen) == 9
+
+
 class TestRunExperiment:
+    def test_space_width_must_match_objective(self, monkeypatch):
+        spec = ObjectiveSpec("sphere", dims=3, negate=True)
+        made = []
+        monkeypatch.setattr(bench, "make_objective", lambda *args: made.append(args))
+        space = SearchSpace([Dimension("a", REAL, 0, 1), Dimension("b", REAL, 0, 1)])
+        with pytest.raises(ValueError, match="space has 2 dimensions, objective 'sphere' has dims=3"):
+            run_experiment([MethodSpec(RANDOM_SEARCH), MethodSpec(PSO_BO)], spec, [0, 1],
+                           budget=8, config=BoConfig(space=space))
+        assert made == []  # checked before any cell runs
+
     def test_constant_objective_collapses_stats(self):
         # one integer dim whose only feasible value is 0 makes the sphere constant
         space = SearchSpace([Dimension("n", INTEGER, -0.4, 0.4)])

@@ -428,6 +428,10 @@ def _experiment(*methods):
     return {"methods": list(methods), "seeds": [0, 1], "budget": 8}
 
 
+_TWO_DIMS = [{"name": "a", "type": "real", "lower": 0.0, "upper": 1.0},
+             {"name": "b", "type": "real", "lower": 0.0, "upper": 1.0}]
+
+
 @pytest.mark.parametrize("command, raw, cause", [
     ("compare", {"gp": {"log_noise": [0, -8]},
                  "experiment": _experiment({"kind": "random_search"}, {"kind": "pso_bo"})},
@@ -519,6 +523,21 @@ def _experiment(*methods):
                                 "budget": 0}},
      "budget must be at least 1, got 0"),
     ("sweep", {"sweep": {"omegas": [], "seeds": [0], "budget": 8}}, "need at least one method"),
+    ("run", {"space": []}, "search space has no dimensions"),
+    ("compare", {"space": [], "experiment": _experiment({"kind": "random_search"},
+                                                        {"kind": "pso_bo"})},
+     "search space has no dimensions"),
+    ("sweep", {"space": [], "sweep": {"omegas": [0.5], "seeds": [0], "budget": 8}},
+     "search space has no dimensions"),
+    ("run", {"objective": {**SPHERE_1D, "dims": 3}, "space": _TWO_DIMS},
+     "space has 2 dimensions, objective 'sphere' has dims=3"),
+    ("compare", {"objective": {**SPHERE_1D, "dims": 3}, "space": _TWO_DIMS,
+                 "experiment": _experiment({"kind": "random_search"}, {"kind": "pso_bo"})},
+     "space has 2 dimensions, objective 'sphere' has dims=3"),
+    ("sweep", {"objective": {**SPHERE_1D, "dims": 3}, "space": _TWO_DIMS,
+               "sweep": {"omegas": [0.5], "seeds": [0], "budget": 8}},
+     "space has 2 dimensions, objective 'sphere' has dims=3"),
+    ("run", {"space": _TWO_DIMS}, "space has 2 dimensions, objective 'sphere' has dims=1"),
 ], ids=["inverted-gp-bound", "one-element-gp-bound", "scalar-gp-bound", "unstable-method-pso",
         "grid-over-cap-after-pso_bo", "inverted-space-dim", "negative-noise-var",
         "string-omega", "bool-c1", "string-population", "float-max-iters", "string-gamma",
@@ -530,7 +549,9 @@ def _experiment(*methods):
         "float-init-count", "float-iterations", "float-seed", "bool-seed", "string-seed",
         "integer-output-dir", "string-space-lower", "bool-space-upper", "space-dim-without-upper",
         "method-without-kind", "negative-experiment-seed", "negative-sweep-seed",
-        "negative-seed", "negative-baseline-budget", "zero-budget", "no-sweep-omegas"])
+        "negative-seed", "negative-baseline-budget", "zero-budget", "no-sweep-omegas",
+        "empty-space-run", "empty-space-compare", "empty-space-sweep", "narrow-space-run",
+        "narrow-space-compare", "narrow-space-sweep", "wide-space-run"])
 def test_config_error_exits_2_before_any_evaluation(tmp_path, capsys, caplog, monkeypatch,
                                                      command, raw, cause):
     calls = _count_evaluations(monkeypatch)
