@@ -50,7 +50,7 @@ def _hints(cls, *keys) -> dict:
     return {key: hints[key] for key in keys}
 
 
-# The config schema: each top-level key's kind, in the vocabulary of _check. The
+# The config schema: each top-level key's kind, in the vocabulary of _build. The
 # dataclass sections take their keys and types from the class the section builds.
 _SECTIONS = {
     "objective": bench.ObjectiveSpec,
@@ -78,41 +78,41 @@ def _check_keys(mapping, allowed, where):
         raise ConfigError(f"{where}: unknown key(s) {sorted(unknown)}")
 
 
-def _check(value, kind, where):
-    """Raise ConfigError, naming `where`, unless `value` is of `kind`: a scalar of
-    _SCALARS, `list[X]`, `X | None`, a {key: kind} mapping whose keys may each be
-    left out, or a dataclass, whose fields are its keys (those without a default
-    required). A `tuple` kind is FitBounds' pair, which checks itself."""
+def _build(value, kind, where):
+    """`value` built as `kind`, or ConfigError naming `where` if it is not of that
+    kind: a scalar of _SCALARS, `list[X]`, `X | None`, a {key: kind} mapping whose
+    keys may each be left out (built as a dict), or a dataclass, whose fields are
+    its keys (those without a default required) and which is constructed. A
+    `tuple` kind is FitBounds' pair, which checks itself."""
     origin = typing.get_origin(kind)
-    if origin is tuple:
-        return
     if origin in (typing.Union, types.UnionType):
-        if value is not None:
-            (inner,) = [arg for arg in typing.get_args(kind) if arg is not type(None)]
-            _check(value, inner, where)
-    elif origin is list:
+        (inner,) = [arg for arg in typing.get_args(kind) if arg is not type(None)]
+        return None if value is None else _build(value, inner, where)
+    if origin is tuple:
+        return value
+    if origin is list:
         if not isinstance(value, list):
             raise ConfigError(f"{where}: expected a list, got {value!r}")
-        for i, item in enumerate(value):
-            _check(item, typing.get_args(kind)[0], f"{where}[{i}]")
-    elif isinstance(kind, dict) or is_dataclass(kind):
+        return [_build(item, typing.get_args(kind)[0], f"{where}[{i}]")
+                for i, item in enumerate(value)]
+    if isinstance(kind, dict) or is_dataclass(kind):
         keys = kind if isinstance(kind, dict) else typing.get_type_hints(kind)
         _check_keys(value, keys, where)
         if is_dataclass(kind):
             for f in fields(kind):
                 if f.name not in value and f.default is MISSING and f.default_factory is MISSING:
                     raise ConfigError(f"{where}: missing key {f.name!r}")
-        for key, item in value.items():
-            _check(item, keys[key], f"{where}.{key}")
-    else:
-        name, admits = _SCALARS[kind]
-        if isinstance(value, bool) != (kind is bool) or not isinstance(value, admits):
-            raise ConfigError(f"{where}: expected {name}, got {value!r}")
+        built = {key: _build(item, keys[key], f"{where}.{key}") for key, item in value.items()}
+        return kind(**built) if is_dataclass(kind) else built
+    name, admits = _SCALARS[kind]
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, admits):
+        raise ConfigError(f"{where}: expected {name}, got {value!r}")
+    return value
 
 
 def load_config(path) -> dict:
-    """Read a YAML config and check every key against _SECTIONS; a top-level key
-    set to null is treated as left out."""
+    """The YAML config at `path` as read, {} for an empty file; build_config
+    checks and builds it."""
     try:
         with open(path, encoding="utf-8") as fh:
             raw = yaml.safe_load(fh)
@@ -120,59 +120,48 @@ def load_config(path) -> dict:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"config is not valid YAML: {exc}") from exc
-    if raw is None:
-        raw = {}
+    return {} if raw is None else raw
+
+
+def build_config(path) -> dict:
+    """Each section of the config at `path` checked and built by _build, keyed as
+    in _SECTIONS; a top-level key set to null is left out, and `objective` is
+    required."""
+    raw = load_config(path)
     _check_keys(raw, _SECTIONS, "config")
-    for key, value in raw.items():
-        if value is not None:
-            _check(value, _SECTIONS[key], key)
-    return raw
-
-
-def _parse_space(entries) -> SearchSpace:
-    return SearchSpace(Dimension(e["name"], e["type"], float(e["lower"]), float(e["upper"]))
-                       for e in entries)
-
-
-def _parse_objective(raw) -> bench.ObjectiveSpec:
-    if not raw.get("objective"):
+    sections = {key: _build(value, _SECTIONS[key], key)
+                for key, value in raw.items() if value is not None}
+    if "objective" not in sections:
         raise ConfigError("config: missing required section 'objective'")
-    return bench.ObjectiveSpec(**raw["objective"])
+    return sections
 
 
-def _parse_bo_config(raw, objective_spec: bench.ObjectiveSpec, seed: int = 0) -> BoConfig:
-    """The BO settings every subcommand shares: the space, acquisition, pso, gp
-    and bo sections (`space` defaults to the objective's canonical bounds)."""
-    space = raw.get("space")
-    space = bench.default_space(objective_spec) if space is None else _parse_space(space)
-    bench.check_space_width(objective_spec, space)
+def _parse_bo_config(sections, seed: int = 0) -> BoConfig:
+    """The BO settings every subcommand shares, from a built config: the space,
+    acquisition, pso, gp and bo sections (`space` defaults to the objective's
+    canonical bounds)."""
+    objective, space = sections["objective"], sections.get("space")
+    if space is None:
+        space = bench.default_space(objective)
+    else:
+        space = SearchSpace(Dimension(e.name, e.type, float(e.lower), float(e.upper))
+                            for e in space)
+    bench.check_space_width(objective, space)
     return BoConfig(
         space=space,
-        acquisition=AcquisitionSpec(**raw.get("acquisition") or {}),
-        pso=PsoParams(**raw.get("pso") or {}),
+        acquisition=sections.get("acquisition", AcquisitionSpec()),
+        pso=sections.get("pso", PsoParams()),
         seed=seed,
-        gp_bounds=FitBounds(**raw.get("gp") or {}),
-        **raw.get("bo") or {},
+        gp_bounds=sections.get("gp", FitBounds()),
+        **sections.get("bo", {}),
     )
 
 
-def _parse_methods(entries) -> list[bench.MethodSpec]:
-    """The `experiment.methods` entries of a config load_config has checked."""
-    if not entries:
-        raise ConfigError("experiment.methods: expected a non-empty list")
-    methods = []
-    for entry in entries:
-        if entry.get("pso") is not None:
-            entry = {**entry, "pso": PsoParams(**entry["pso"])}
-        methods.append(bench.MethodSpec(**entry))
-    return methods
-
-
-def resolve_seed(args, raw) -> int:
+def resolve_seed(args, sections) -> int:
     if args.seed is not None:
         return args.seed
-    if raw.get("seed") is not None:
-        return raw["seed"]
+    if "seed" in sections:
+        return sections["seed"]
     env = os.environ.get(SEED_ENV_VAR, "0")
     try:
         return int(env)
@@ -187,20 +176,19 @@ def _metadata() -> dict:
     }
 
 
-def _output_dir(args, raw) -> Path:
-    out = Path(args.output_dir or raw.get("output_dir") or ".")
+def _output_dir(args, sections) -> Path:
+    out = Path(args.output_dir or sections.get("output_dir") or ".")
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
 def cmd_run(args) -> int:
-    raw = load_config(args.config)
-    objective_spec = _parse_objective(raw)
-    seed = resolve_seed(args, raw)
-    config = _parse_bo_config(raw, objective_spec, seed)
-    result = run_bo(config, bench.make_objective(objective_spec, seed))
+    sections = build_config(args.config)
+    seed = resolve_seed(args, sections)
+    config = _parse_bo_config(sections, seed)
+    result = run_bo(config, bench.make_objective(sections["objective"], seed))
 
-    out = _output_dir(args, raw)
+    out = _output_dir(args, sections)
     payload = {**asdict(result), "seed": seed, "metadata": _metadata()}
     with open(out / "result.json", "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, default=np.ndarray.tolist)
@@ -212,26 +200,25 @@ def cmd_run(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    raw = load_config(args.config)
-    objective_spec = _parse_objective(raw)
-    section = raw.get("experiment")
+    sections = build_config(args.config)
+    section = sections.get("experiment")
     if not section:
         raise ConfigError("config: missing required section 'experiment'")
-    methods = _parse_methods(section.get("methods"))
+    methods = section.get("methods", [])
     if len(methods) < 2:
         raise ConfigError("experiment.methods: compare needs at least two methods")
     seeds = section.get("seeds", [])
     if len(seeds) < 2:
         raise ConfigError("experiment.seeds: need at least two seeds")
     budget = section.get("budget", 35)
-    config = _parse_bo_config(raw, objective_spec)
+    config = _parse_bo_config(sections)
     for i, m in enumerate(methods):
         if m.kind in [n.kind for n in methods[:i]]:
             raise ConfigError(f"method kind {m.kind!r} is listed twice (outputs are named by kind)")
 
-    report = bench.run_experiment(methods, objective_spec, seeds, budget, config=config)
+    report = bench.run_experiment(methods, sections["objective"], seeds, budget, config=config)
 
-    out = _output_dir(args, raw)
+    out = _output_dir(args, sections)
     bench.write_report_json(report, out / "report.json")
     bench.write_report_csv(report, out / "report.csv")
     bench.write_experiment_traces(report, out)
@@ -242,16 +229,15 @@ def cmd_compare(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    raw = load_config(args.config)
-    objective_spec = _parse_objective(raw)
-    section = raw.get("sweep", {}) or {}
+    sections = build_config(args.config)
+    section = sections.get("sweep", {})
     omegas = [float(w) for w in section.get("omegas",
               [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9])]
     seeds = section.get("seeds", [0, 1])
     budget = section.get("budget", 35)
-    config = _parse_bo_config(raw, objective_spec)
+    config = _parse_bo_config(sections)
     methods = [bench.MethodSpec(bench.PSO_BO, pso=replace(config.pso, omega=w)) for w in omegas]
-    report = bench.run_experiment(methods, objective_spec, seeds, budget, config=config)
+    report = bench.run_experiment(methods, sections["objective"], seeds, budget, config=config)
     failed = [(m.pso.omega, s) for m, r in zip(methods, report.methods) for s in r.missing_seeds]
     if failed:
         raise RuntimeError(f"sweep cells (omega, seed) failed: {', '.join(map(str, failed))}")
@@ -259,7 +245,7 @@ def cmd_sweep(args) -> int:
     rows = [(m.pso.omega, sum(r.per_seed_best[s] for s in seeds) / len(seeds))
             for m, r in zip(methods, report.methods)]
 
-    out = _output_dir(args, raw)
+    out = _output_dir(args, sections)
     with open(out / "sweep.csv", "w", encoding="utf-8", newline="") as fh:
         fh.write("omega,ave_best\n")
         for omega, ave in rows:

@@ -24,6 +24,9 @@ from .space import Dimension, DimensionMismatchError, REAL, SearchSpace, _check_
 
 JITTER_START = 1e-10
 JITTER_MAX = 1e-4
+# _cholesky's levels, JITTER_START to JITTER_MAX one decade apart: a count, not a
+# float bound, so that a jitter that underflows to 0 still stops
+_JITTER_LEVELS = int(round(np.log10(JITTER_MAX / JITTER_START))) + 1
 
 
 def _load_flapack():
@@ -120,7 +123,8 @@ class FactorizationFailureError(GpError):
 @dataclass(frozen=True)
 class FitBounds:
     """log10 search bounds used when fitting kernel hyperparameters (lengthscales in
-    unit-cube units). Each is a (lower, upper) pair of finite numbers, lower < upper."""
+    unit-cube units). Each is a (lower, upper) pair of finite numbers, lower < upper,
+    inside [-300, 300], so that every power of ten it spans is finite and nonzero."""
 
     log_theta0: tuple[float, float] = (-3.0, 3.0)
     log_lengthscale: tuple[float, float] = (-2.0, 2.0)
@@ -133,6 +137,8 @@ class FitBounds:
             ok = ok and all(isinstance(v, Real) and np.isfinite(v) for v in pair)
             if not (ok and pair[0] < pair[1]):
                 raise InvalidParamsError(f"{f.name} must be a finite pair lower < upper, got {pair!r}")
+            if pair[0] < -300 or pair[1] > 300:
+                raise InvalidParamsError(f"{f.name} must lie within [-300, 300], got {pair!r}")
             object.__setattr__(self, f.name, tuple(pair))
 
 
@@ -237,10 +243,10 @@ def _standardize(space: SearchSpace, xs, ys):
 
 def _cholesky(K: np.ndarray, y: np.ndarray, theta0: float, eye: np.ndarray):
     """(L, alpha, jitter) with L L^T = K + jitter*I and alpha = (L L^T)^-1 y, the
-    jitter escalating one decade at a time from JITTER_START*theta0. `eye` is the
-    identity of K's size, built once by the caller."""
+    jitter escalating one decade at a time from JITTER_START*theta0 over
+    _JITTER_LEVELS tries. `eye` is the identity of K's size, built once by the caller."""
     jitter = JITTER_START * theta0
-    while jitter <= JITTER_MAX * theta0 * (1 + 1e-12):
+    for _ in range(_JITTER_LEVELS):
         L, info = _potrf(K + jitter * eye, lower=1, clean=1)
         if info == 0:
             return L, _potrs(L, y, lower=1)[0], jitter

@@ -22,8 +22,7 @@ from swarmbo.bench import (
 from swarmbo.acquisition import AcquisitionSpec
 from swarmbo.boloop import BoConfig, Observation, run_bo
 from swarmbo.cli import (
-    EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, _SECTIONS, _parse_bo_config, _parse_methods, load_config,
-    main,
+    EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, _SECTIONS, _parse_bo_config, build_config, main,
 )
 from swarmbo.gp import FitBounds
 from swarmbo.pso import PsoParams
@@ -155,9 +154,9 @@ class TestRun:
         })
         out = tmp_path / "out"
         assert main(["run", "--config", cfg, "--output-dir", str(out)]) == EXIT_OK
-        raw = load_config(cfg)
-        spec = ObjectiveSpec(**raw["objective"])
-        want = run_bo(_parse_bo_config(raw, spec, 4), bench.make_objective(spec, 4))
+        sections = build_config(cfg)
+        spec = sections["objective"]
+        want = run_bo(_parse_bo_config(sections, 4), bench.make_objective(spec, 4))
 
         def plain(value):
             return value.tolist() if isinstance(value, np.ndarray) else value
@@ -363,18 +362,18 @@ def test_every_section_field_is_a_config_key(tmp_path, section, name):
         raw["experiment"] = _experiment({"kind": "pso_bo", "pso": {name: value}})
     else:
         raw.setdefault(section, {})[name] = value
-    raw = load_config(write_config(tmp_path / "c.yaml", raw))
-    _parse_bo_config(raw, ObjectiveSpec(**raw["objective"]))
+    sections = build_config(write_config(tmp_path / "c.yaml", raw))
+    _parse_bo_config(sections)
     if section == "method.pso":
-        assert _parse_methods(raw["experiment"]["methods"]) == [MethodSpec(PSO_BO, PsoParams())]
+        assert sections["experiment"]["methods"] == [MethodSpec(PSO_BO, PsoParams())]
 
 
 @pytest.mark.parametrize("name", [f.name for f in fields(MethodSpec)])
 def test_every_method_field_is_a_method_key(tmp_path, name):
     entry = {"kind": LOCAL_BO, name: getattr(MethodSpec(LOCAL_BO), name)}
-    raw = load_config(write_config(tmp_path / "c.yaml", {"objective": dict(SPHERE_1D),
-                                                          "experiment": _experiment(entry)}))
-    assert _parse_methods(raw["experiment"]["methods"]) == [MethodSpec(LOCAL_BO)]
+    sections = build_config(write_config(tmp_path / "c.yaml", {"objective": dict(SPHERE_1D),
+                                                                "experiment": _experiment(entry)}))
+    assert sections["experiment"]["methods"] == [MethodSpec(LOCAL_BO)]
 
 
 def _kinds(kind, owner=None):
@@ -398,7 +397,7 @@ def _kinds(kind, owner=None):
 
 
 def test_every_schema_kind_is_checked():
-    """A config value is checked only if its annotation is a kind cli._check knows;
+    """A config value is checked only if its annotation is a kind cli._build knows;
     FitBounds' (lower, upper) pairs are the one exception, checked by FitBounds."""
     leaves = list(_kinds(_SECTIONS))
     assert {owner for owner, _ in leaves} >= {ObjectiveSpec, PsoParams, FitBounds, MethodSpec}
@@ -538,6 +537,10 @@ _TWO_DIMS = [{"name": "a", "type": "real", "lower": 0.0, "upper": 1.0},
                "sweep": {"omegas": [0.5], "seeds": [0], "budget": 8}},
      "space has 2 dimensions, objective 'sphere' has dims=3"),
     ("run", {"space": _TWO_DIMS}, "space has 2 dimensions, objective 'sphere' has dims=1"),
+    ("run", {"gp": {"log_theta0": [-400, -399]}, "bo": {"noise_var": 0.0}},
+     "log_theta0 must lie within [-300, 300], got [-400, -399]"),
+    ("run", {"gp": {"log_lengthscale": [300, 310]}},
+     "log_lengthscale must lie within [-300, 300], got [300, 310]"),
 ], ids=["inverted-gp-bound", "one-element-gp-bound", "scalar-gp-bound", "unstable-method-pso",
         "grid-over-cap-after-pso_bo", "inverted-space-dim", "negative-noise-var",
         "string-omega", "bool-c1", "string-population", "float-max-iters", "string-gamma",
@@ -551,7 +554,8 @@ _TWO_DIMS = [{"name": "a", "type": "real", "lower": 0.0, "upper": 1.0},
         "method-without-kind", "negative-experiment-seed", "negative-sweep-seed",
         "negative-seed", "negative-baseline-budget", "zero-budget", "no-sweep-omegas",
         "empty-space-run", "empty-space-compare", "empty-space-sweep", "narrow-space-run",
-        "narrow-space-compare", "narrow-space-sweep", "wide-space-run"])
+        "narrow-space-compare", "narrow-space-sweep", "wide-space-run", "underflowing-gp-theta0",
+        "overflowing-gp-lengthscale"])
 def test_config_error_exits_2_before_any_evaluation(tmp_path, capsys, caplog, monkeypatch,
                                                      command, raw, cause):
     calls = _count_evaluations(monkeypatch)

@@ -133,6 +133,23 @@ class TestFitAndPredict:
         model = fit_model(space, [[0.4], [0.4], [0.8]], [1.0, 1.0, 2.0], params)
         assert model.jitter > 0
 
+    def test_jitter_escalation_is_bounded_when_it_underflows(self, monkeypatch):
+        # theta0 0 (as 10**-400 gives) makes every jitter level 0; the escalation
+        # still stops after its 7 levels, JITTER_START to JITTER_MAX
+        attempts = []
+
+        def failing(A, **kwargs):
+            attempts.append(A)
+            if len(attempts) > 50:
+                raise RuntimeError("jitter escalation does not stop")
+            return A, 1
+
+        monkeypatch.setattr(gp, "_potrf", failing)
+        K, eye = np.ones((2, 2)), np.eye(2)
+        with pytest.raises(FactorizationFailureError):
+            gp._cholesky(K, np.ones(2), 0.0, eye)
+        assert len(attempts) == 7
+
     def test_factor_reconstructs_gram(self):
         rng = np.random.default_rng(2)
         space = unit_box(2)
@@ -339,6 +356,17 @@ class TestFitBounds:
     def test_invalid_pair_names_the_field(self, field, bad):
         with pytest.raises(InvalidParamsError, match=f"{field} must be a finite pair"):
             FitBounds(**{field: bad})
+
+    @pytest.mark.parametrize("field", ["log_theta0", "log_lengthscale", "log_noise"])
+    @pytest.mark.parametrize("bad", [(-400, -399), (300, 310), (-301, 0), (0, 300.5)])
+    def test_pair_outside_the_log10_range_names_the_field(self, field, bad):
+        # 10**310 is inf and 10**-400 is 0: neither is a usable hyperparameter
+        with pytest.raises(InvalidParamsError, match=rf"{field} must lie within \[-300, 300\]"):
+            FitBounds(**{field: bad})
+
+    def test_range_ends_accepted(self):
+        bounds = FitBounds(log_theta0=(-300, 300))
+        assert 0 < 10.0 ** bounds.log_theta0[0] and 10.0 ** bounds.log_theta0[1] < np.inf
 
 
 class TestFitHyperparams:

@@ -8,6 +8,9 @@ point, or cells run in another process, makes these wrappers see nothing.
 
 import contextlib
 import io
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import yaml
@@ -62,3 +65,20 @@ def test_patched_entry_points_clock_every_cell(tmp_path, monkeypatch):
     for name in ("bench.cell.pso_bo", "bench.cell.grid_search", "pso.hyper", "pso.acq",
                  "bench.local_ascent", "gp.fit_model"):
         assert spans.get(name, (0,))[0] > 0, name
+
+
+def test_setup_probe_reads_a_compare_config(tmp_path):
+    # the probe times `setup_s` before every benchmark run, in an interpreter of
+    # its own, on the plain mapping that cli.load_config returns
+    cfg = tmp_path / "compare.yaml"
+    cfg.write_text(yaml.safe_dump({
+        "objective": {"name": "branin", "dims": 2, "negate": True},
+        "experiment": {"methods": [{"kind": "pso_bo"}, {"kind": "random_search"}],
+                       "seeds": [0, 1], "budget": BUDGET},
+    }), encoding="utf-8")
+    result = subprocess.run([sys.executable, str(PERFBENCH / "setup_probe.py"), str(cfg)],
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    times = json.loads(result.stdout.splitlines()[-1])
+    assert set(times) == {"import_s", "load_config_s", "space_s"}
+    assert all(t >= 0 for t in times.values())
