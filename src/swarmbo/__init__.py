@@ -1,14 +1,7 @@
 """Bayesian optimization with a particle-swarm acquisition maximizer."""
 
 from .acquisition import AcquisitionSpec, ei, evaluate, pi, ucb
-from .bench import (
-    ExperimentReport,
-    MethodSpec,
-    ObjectiveSpec,
-    default_space,
-    eval_objective,
-    run_experiment,
-)
+from .bench import ExperimentReport, MethodSpec, ObjectiveSpec, default_space, run_experiment
 from .boloop import BoConfig, BoResult, run_bo
 from .gp import (
     FitBounds,
@@ -22,24 +15,15 @@ from .gp import (
     predict,
 )
 from .pso import PsoParams, PsoResult, run_pso
-from .space import (
-    Dimension,
-    INTEGER,
-    REAL,
-    SearchSpace,
-    clamp,
-    materialize,
-    sample_uniform,
-)
+from .space import REAL, ConfigError, Dimension, SearchSpace
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AcquisitionSpec", "BoConfig", "BoResult", "Dimension",
-    "ExperimentReport", "FitBounds", "GpModel", "INTEGER", "KernelParams",
-    "MethodSpec", "ObjectiveSpec", "Posterior", "PsoParams", "PsoResult",
-    "REAL", "SearchSpace", "clamp", "default_space", "ei", "eval_objective",
-    "evaluate", "fit_hyperparams", "fit_model", "gram_matrix",
-    "log_marginal_likelihood", "materialize", "pi", "predict", "run_bo",
-    "run_experiment", "run_pso", "sample_uniform", "ucb",
+    "AcquisitionSpec", "BoConfig", "BoResult", "ConfigError", "Dimension",
+    "ExperimentReport", "FitBounds", "GpModel", "KernelParams", "MethodSpec",
+    "ObjectiveSpec", "Posterior", "PsoParams", "PsoResult", "REAL",
+    "SearchSpace", "default_space", "ei", "evaluate", "fit_hyperparams",
+    "fit_model", "gram_matrix", "log_marginal_likelihood", "pi", "predict",
+    "run_bo", "run_experiment", "run_pso", "ucb",
 ]

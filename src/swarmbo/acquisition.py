@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gp import GpModel, Posterior, predict
+from .space import ConfigError
 
 UCB = "ucb"
 EI = "ei"
@@ -23,11 +24,11 @@ class AcquisitionSpec:
 
     def __post_init__(self):
         if self.kind not in _KINDS:
-            raise ValueError(f"unknown acquisition kind {self.kind!r}")
-        if self.gamma < 0:
-            raise ValueError("gamma must be non-negative")
-        if self.xi < 0:
-            raise ValueError("xi must be non-negative")
+            raise ConfigError(f"unknown acquisition kind {self.kind!r}")
+        if not 0.0 <= self.gamma < np.inf:
+            raise ConfigError(f"gamma must be finite and non-negative, got {self.gamma!r}")
+        if not 0.0 <= self.xi < np.inf:
+            raise ConfigError(f"xi must be finite and non-negative, got {self.xi!r}")
 
 
 def _norm_cdf(z):

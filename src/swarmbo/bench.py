@@ -19,6 +19,7 @@ import numpy as np
 from .boloop import BoConfig, BoResult, component_rng, observe, run_bo
 from .pso import PsoParams
 from .space import (
+    ConfigError,
     Dimension,
     DimensionMismatchError,
     INTEGER,
@@ -39,14 +40,6 @@ RANDOM_SEARCH = "random_search"
 GRID_SEARCH = "grid_search"
 
 GRID_CAP = 10**6
-
-
-class GridTooLargeError(ValueError):
-    pass
-
-
-class InvalidMethodParamsError(ValueError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -106,17 +99,17 @@ class ObjectiveSpec:
 
     def __post_init__(self):
         if self.name not in _OBJECTIVES:
-            raise ValueError(f"unknown objective {self.name!r}; choose from {OBJECTIVE_NAMES}")
+            raise ConfigError(f"unknown objective {self.name!r}; choose from {OBJECTIVE_NAMES}")
         arity = _OBJECTIVES[self.name][1]
         if arity is not None and self.dims != arity:
-            raise ValueError(f"{self.name} requires dims={arity}, got {self.dims}")
+            raise ConfigError(f"{self.name} requires dims={arity}, got {self.dims}")
         if self.dims < 1:
-            raise ValueError("dims must be at least 1")
-        if self.noise_std < 0:
-            raise ValueError("noise_std must be non-negative")
+            raise ConfigError("dims must be at least 1")
+        if not 0.0 <= self.noise_std < np.inf:
+            raise ConfigError(f"noise_std must be finite and non-negative, got {self.noise_std!r}")
         if not isinstance(self.negate, (bool, np.bool_)):
             # a string such as "no" would otherwise test true
-            raise ValueError(f"negate must be a bool, got {self.negate!r}")
+            raise ConfigError(f"negate must be a bool, got {self.negate!r}")
 
 
 def default_space(spec: ObjectiveSpec) -> SearchSpace:
@@ -130,10 +123,10 @@ def default_space(spec: ObjectiveSpec) -> SearchSpace:
 
 
 def check_space_width(spec: ObjectiveSpec, space: SearchSpace):
-    """Raise ValueError unless `space` has one dimension per objective input."""
+    """Raise ConfigError unless `space` has one dimension per objective input."""
     if space.dim != spec.dims:
-        raise ValueError(f"space has {space.dim} dimensions, objective {spec.name!r} "
-                         f"has dims={spec.dims}")
+        raise ConfigError(f"space has {space.dim} dimensions, objective {spec.name!r} "
+                          f"has dims={spec.dims}")
 
 
 def eval_objective(spec: ObjectiveSpec, x, rng: np.random.Generator | None = None) -> float:
@@ -170,13 +163,13 @@ class MethodSpec:
 
     def __post_init__(self):
         if self.kind not in (PSO_BO, LOCAL_BO, RANDOM_SEARCH, GRID_SEARCH):
-            raise ValueError(f"unknown method kind {self.kind!r}")
+            raise ConfigError(f"unknown method kind {self.kind!r}")
         if self.kind == LOCAL_BO and self.restarts < 1:
-            raise InvalidMethodParamsError("local_bo needs at least one restart")
+            raise ConfigError("local_bo needs at least one restart")
         if self.kind == LOCAL_BO and self.max_steps < 0:
-            raise InvalidMethodParamsError("local_bo needs max_steps >= 0")
+            raise ConfigError("local_bo needs max_steps >= 0")
         if self.kind == GRID_SEARCH and self.points_per_dim < 2:
-            raise InvalidMethodParamsError("grid_search needs points_per_dim >= 2")
+            raise ConfigError("grid_search needs points_per_dim >= 2")
 
 
 def local_ascent(space: SearchSpace, surface, rng: np.random.Generator,
@@ -202,9 +195,9 @@ def local_ascent(space: SearchSpace, surface, rng: np.random.Generator,
     operation is the one numpy would do on the same values.
     """
     if restarts < 1:
-        raise InvalidMethodParamsError("restarts must be at least 1")
+        raise ConfigError("restarts must be at least 1")
     if max_steps < 0:
-        raise InvalidMethodParamsError("max_steps must be non-negative")
+        raise ConfigError("max_steps must be non-negative")
     d = space.dim
     h = 1e-6 * space.ranges
     offsets = np.concatenate([h * np.eye(d), -(h * np.eye(d))]).tolist()  # x + h e_j, then x - h e_j
@@ -281,9 +274,9 @@ def grid_points(space: SearchSpace, points_per_dim: int):
                 axes.append(np.arange(lo, hi + 1, dtype=float))
                 continue
         axes.append(np.linspace(d.lower, d.upper, points_per_dim))
-    total = int(np.prod([len(a) for a in axes]))
+    total = math.prod(len(a) for a in axes)  # a Python int: numpy's int64 product can wrap
     if total > GRID_CAP:
-        raise GridTooLargeError(f"grid of {total} points exceeds cap {GRID_CAP}")
+        raise ConfigError(f"grid of {total} points exceeds cap {GRID_CAP}")
     return map(np.array, itertools.product(*axes))
 
 
@@ -384,21 +377,21 @@ def run_experiment(methods: list[MethodSpec], objective_spec: ObjectiveSpec,
     its first error. Cells run one after another, in method then seed order.
     """
     if not methods:
-        raise ValueError("need at least one method (a sweep: at least one omega)")
+        raise ConfigError("need at least one method (a sweep: at least one omega)")
     if not seeds:
-        raise ValueError("need at least one seed")
+        raise ConfigError("need at least one seed")
     if len(set(seeds)) != len(seeds):
         # cells are keyed by (method, seed): a repeated seed would be one cell
-        raise ValueError(f"duplicate seeds in {list(seeds)}")
+        raise ConfigError(f"duplicate seeds in {list(seeds)}")
     if min(seeds) < 0:
-        raise ValueError(f"seeds must be non-negative, got {list(seeds)}")
+        raise ConfigError(f"seeds must be non-negative, got {list(seeds)}")
     if budget < 1:
-        raise ValueError(f"budget must be at least 1, got {budget}")
+        raise ConfigError(f"budget must be at least 1, got {budget}")
     if config is None:
         config = BoConfig(space=default_space(objective_spec))
     check_space_width(objective_spec, config.space)
     if budget <= config.init_count and any(m.kind in (PSO_BO, LOCAL_BO) for m in methods):
-        raise ValueError("budget must exceed the initial-design size")
+        raise ConfigError("budget must exceed the initial-design size")
     for m in methods:
         if m.kind == GRID_SEARCH:
             grid_points(config.space, m.points_per_dim)  # raises here if over GRID_CAP

@@ -17,7 +17,7 @@ import numpy as np
 from . import gp
 from .acquisition import AcquisitionSpec, evaluate
 from .pso import PsoParams, run_pso
-from .space import SearchSpace, materialize, sample_uniform
+from .space import ConfigError, SearchSpace, materialize, sample_uniform
 
 log = logging.getLogger(__name__)
 
@@ -58,13 +58,13 @@ class BoConfig:
 
     def __post_init__(self):
         if self.init_count < 1:
-            raise ValueError("init_count must be at least 1")
+            raise ConfigError("init_count must be at least 1")
         if self.iterations < 1:
-            raise ValueError("iterations must be at least 1")
+            raise ConfigError("iterations must be at least 1")
         if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.noise_var is not None and not 0.0 <= self.noise_var < np.inf:
-            raise ValueError(f"noise_var must be finite and non-negative, got {self.noise_var!r}")
+            raise ConfigError(f"noise_var must be finite and non-negative, got {self.noise_var!r}")
 
 
 @dataclass(frozen=True)

@@ -31,17 +31,13 @@ from .acquisition import AcquisitionSpec
 from .boloop import BoConfig, run_bo
 from .gp import FitBounds, one_blas_thread
 from .pso import PsoParams
-from .space import Dimension, SearchSpace
+from .space import ConfigError, Dimension, SearchSpace
 
 SEED_ENV_VAR = "SWARMBO_SEED"
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
-
-
-class ConfigError(Exception):
-    pass
 
 
 def _hints(cls, *keys) -> dict:
@@ -107,6 +103,11 @@ def _build(value, kind, where):
     name, admits = _SCALARS[kind]
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, admits):
         raise ConfigError(f"{where}: expected {name}, got {value!r}")
+    if kind is float:
+        try:  # an integer such as 10**400 is a number, but no float
+            float(value)
+        except OverflowError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
     return value
 
 
@@ -116,7 +117,7 @@ def load_config(path) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             raw = yaml.safe_load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"config is not valid YAML: {exc}") from exc
@@ -290,7 +291,7 @@ def main(argv=None) -> int:
         # the process is the CLI's own, so it may set the BLAS state of the run
         with one_blas_thread():
             return args.fn(args)
-    except (ConfigError, ValueError, TypeError) as exc:
+    except ConfigError as exc:  # raised only by checks that run before the first evaluation
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:

@@ -20,7 +20,7 @@ import numpy as np
 import scipy
 
 from .pso import PsoParams, run_pso
-from .space import Dimension, DimensionMismatchError, REAL, SearchSpace, _check_len
+from .space import ConfigError, Dimension, DimensionMismatchError, REAL, SearchSpace, _check_len
 
 JITTER_START = 1e-10
 JITTER_MAX = 1e-4
@@ -108,15 +108,11 @@ def one_blas_thread():
         put(before)
 
 
-class GpError(Exception):
+class InvalidParamsError(ValueError):
     pass
 
 
-class InvalidParamsError(GpError, ValueError):
-    pass
-
-
-class FactorizationFailureError(GpError):
+class FactorizationFailureError(Exception):
     """Cholesky failed even after jitter escalation."""
 
 
@@ -134,11 +130,12 @@ class FitBounds:
         for f in fields(self):
             pair = getattr(self, f.name)
             ok = isinstance(pair, (tuple, list)) and len(pair) == 2
-            ok = ok and all(isinstance(v, Real) and np.isfinite(v) for v in pair)
+            # NaN fails; an int too large for a float passes, to fail the range check below
+            ok = ok and all(isinstance(v, Real) and -np.inf < v < np.inf for v in pair)
             if not (ok and pair[0] < pair[1]):
-                raise InvalidParamsError(f"{f.name} must be a finite pair lower < upper, got {pair!r}")
+                raise ConfigError(f"{f.name} must be a finite pair lower < upper, got {pair!r}")
             if pair[0] < -300 or pair[1] > 300:
-                raise InvalidParamsError(f"{f.name} must lie within [-300, 300], got {pair!r}")
+                raise ConfigError(f"{f.name} must lie within [-300, 300], got {pair!r}")
             object.__setattr__(self, f.name, tuple(pair))
 
 

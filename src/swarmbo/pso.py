@@ -17,18 +17,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .space import SearchSpace, clamp
+from .space import ConfigError, SearchSpace, clamp
 
 
-class StabilityError(ValueError):
-    """Parameters fall outside the PSO convergence region."""
-
-
-class OmegaOutOfRangeError(StabilityError):
+class OmegaOutOfRangeError(ConfigError):
     pass
 
 
-class LearningFactorsOutOfRangeError(StabilityError):
+class LearningFactorsOutOfRangeError(ConfigError):
     pass
 
 
@@ -53,11 +49,15 @@ class PsoParams:
                 f"c1+c2={s} outside (0, {4.0 * (1.0 + self.omega)})"
             )
         if self.population < 2:
-            raise ValueError("population must be at least 2")
+            raise ConfigError("population must be at least 2")
         if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+            raise ConfigError("max_iters must be at least 1")
         if not 0.0 < self.vmax_fraction <= 1.0:
-            raise ValueError("vmax_fraction must be in (0, 1]")
+            raise ConfigError("vmax_fraction must be in (0, 1]")
+        if not 0.0 <= self.tol < np.inf:
+            raise ConfigError(f"tol must be finite and non-negative, got {self.tol!r}")
+        if self.patience < 1:
+            raise ConfigError(f"patience must be at least 1, got {self.patience!r}")
 
 
 @dataclass(frozen=True)

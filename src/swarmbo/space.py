@@ -16,27 +16,12 @@ REAL = "real"
 INTEGER = "integer"
 
 
-class SpaceError(ValueError):
-    """Base class for search-space validation failures."""
+class ConfigError(ValueError):
+    """An invalid config value or setting, raised by the check that reads it; the
+    CLI exits 2 on this type alone."""
 
 
-class EmptySpaceError(SpaceError):
-    pass
-
-
-class InvertedBoundsError(SpaceError):
-    def __init__(self, name):
-        super().__init__(f"dimension {name!r}: lower bound must be strictly below upper bound")
-        self.name = name
-
-
-class EmptyIntegerRangeError(SpaceError):
-    def __init__(self, name):
-        super().__init__(f"integer dimension {name!r}: no integer inside its bounds")
-        self.name = name
-
-
-class DimensionMismatchError(SpaceError):
+class DimensionMismatchError(ValueError):
     def __init__(self, expected, got):
         super().__init__(f"point has {got} coordinates, space has {expected} dimensions")
         self.expected = expected
@@ -54,7 +39,7 @@ class Dimension:
 
     def __post_init__(self):
         if self.kind not in (REAL, INTEGER):
-            raise SpaceError(f"dimension {self.name!r}: unknown kind {self.kind!r}")
+            raise ConfigError(f"dimension {self.name!r}: unknown kind {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -68,19 +53,22 @@ class SearchSpace:
 
     def __init__(self, dims):
         object.__setattr__(self, "dims", tuple(dims))
+        if not self.dims:
+            raise ConfigError("search space has no dimensions")
+        names = [d.name for d in self.dims]
+        if len(set(names)) != len(names):
+            raise ConfigError("dimension names must be unique")
+        for d in self.dims:
+            if not d.lower < d.upper:
+                raise ConfigError(f"dimension {d.name!r}: lower bound must be strictly below upper bound")
+            if not math.isfinite(float(d.upper) - float(d.lower)):  # an inf bound or an overflowing range
+                raise ConfigError(f"dimension {d.name!r}: bounds and upper - lower must be finite, "
+                                  f"got [{d.lower!r}, {d.upper!r}]")
+            if d.kind == INTEGER and math.floor(d.upper) < math.ceil(d.lower):
+                raise ConfigError(f"integer dimension {d.name!r}: no integer inside its bounds")
         object.__setattr__(self, "lower", np.array([d.lower for d in self.dims], dtype=float))
         object.__setattr__(self, "upper", np.array([d.upper for d in self.dims], dtype=float))
         object.__setattr__(self, "ranges", self.upper - self.lower)
-        if not self.dims:
-            raise EmptySpaceError("search space has no dimensions")
-        names = [d.name for d in self.dims]
-        if len(set(names)) != len(names):
-            raise SpaceError("dimension names must be unique")
-        for d in self.dims:
-            if not d.lower < d.upper:
-                raise InvertedBoundsError(d.name)
-            if d.kind == INTEGER and math.floor(d.upper) < math.ceil(d.lower):
-                raise EmptyIntegerRangeError(d.name)
 
     @property
     def dim(self) -> int:

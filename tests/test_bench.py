@@ -6,8 +6,6 @@ from swarmbo import bench
 from swarmbo.acquisition import EI, PI, UCB, AcquisitionSpec, evaluate
 from swarmbo.bench import (
     GRID_SEARCH,
-    GridTooLargeError,
-    InvalidMethodParamsError,
     LOCAL_BO,
     MethodSpec,
     ObjectiveSpec,
@@ -24,7 +22,7 @@ from swarmbo.bench import (
 from swarmbo.boloop import BO, INIT, BoConfig, BoResult, ObjectiveFailureError, component_rng
 from swarmbo.gp import KernelParams, fit_model
 from swarmbo.cli import EXIT_CONFIG, EXIT_RUNTIME, main
-from swarmbo.space import Dimension, DimensionMismatchError, INTEGER, REAL, SearchSpace
+from swarmbo.space import ConfigError, Dimension, DimensionMismatchError, INTEGER, REAL, SearchSpace
 
 from helpers import read_report_csv, sweep_methods
 
@@ -242,9 +240,9 @@ class TestLocalAscent:
         assert np.array_equal(best, starts[np.argmax(neg_branin_rows(starts))])
 
     def test_negative_max_steps_rejected(self):
-        with pytest.raises(InvalidMethodParamsError):
+        with pytest.raises(ConfigError):
             local_ascent(BRANIN_SPACE, neg_branin_rows, np.random.default_rng(0), max_steps=-1)
-        with pytest.raises(InvalidMethodParamsError):
+        with pytest.raises(ConfigError):
             MethodSpec(LOCAL_BO, max_steps=-1)
 
     def test_concave_quadratic_closed_form(self):
@@ -259,9 +257,9 @@ class TestLocalAscent:
 
     def test_zero_restarts_rejected(self):
         space = SearchSpace([Dimension("a", REAL, 0, 1)])
-        with pytest.raises(InvalidMethodParamsError):
+        with pytest.raises(ConfigError):
             local_ascent(space, lambda X: np.zeros(len(X)), np.random.default_rng(0), restarts=0)
-        with pytest.raises(InvalidMethodParamsError):
+        with pytest.raises(ConfigError):
             MethodSpec(LOCAL_BO, restarts=0)
 
     def test_run_local_bo_deterministic(self):
@@ -420,10 +418,10 @@ class TestGridSearch:
 
     def test_grid_too_large(self):
         space = SearchSpace([Dimension(f"x{i}", REAL, 0, 1) for i in range(7)])
-        with pytest.raises(GridTooLargeError):
+        with pytest.raises(ConfigError):
             run_method_cell(MethodSpec(GRID_SEARCH), ObjectiveSpec("sphere", dims=7),
                             BoConfig(space=space), 0, 10)
-        with pytest.raises(GridTooLargeError):
+        with pytest.raises(ConfigError):
             grid_points(space, 10)  # at the call, before any point is drawn
 
 

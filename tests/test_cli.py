@@ -9,7 +9,7 @@ import pytest
 import scipy
 import yaml
 
-from swarmbo import bench, gp
+from swarmbo import bench, boloop, gp
 from swarmbo.bench import (
     LOCAL_BO,
     MethodSpec,
@@ -541,6 +541,26 @@ _TWO_DIMS = [{"name": "a", "type": "real", "lower": 0.0, "upper": 1.0},
      "log_theta0 must lie within [-300, 300], got [-400, -399]"),
     ("run", {"gp": {"log_lengthscale": [300, 310]}},
      "log_lengthscale must lie within [-300, 300], got [300, 310]"),
+    ("run", {"acquisition": {"gamma": float("nan")}}, "gamma must be finite and non-negative, got nan"),
+    ("run", {"acquisition": {"kind": "ei", "xi": float("inf")}},
+     "xi must be finite and non-negative, got inf"),
+    ("run", {"objective": {**SPHERE_1D, "noise_std": float("nan")}},
+     "noise_std must be finite and non-negative, got nan"),
+    ("run", {"pso": {"tol": float("nan")}}, "tol must be finite and non-negative, got nan"),
+    ("run", {"pso": {"tol": -1.0}}, "tol must be finite and non-negative, got -1.0"),
+    ("run", {"pso": {"patience": 0}}, "patience must be at least 1, got 0"),
+    ("run", {"space": [{"name": "a", "type": "real", "lower": 0.0, "upper": float("inf")}]},
+     "dimension 'a': bounds and upper - lower must be finite, got [0.0, inf]"),
+    ("run", {"space": [{"name": "a", "type": "real", "lower": 0.0, "upper": 10**400}]},
+     "space[0].upper: int too large to convert to float"),
+    ("run", {"space": [{"name": "a", "type": "real", "lower": -1e308, "upper": 1e308}]},
+     "dimension 'a': bounds and upper - lower must be finite, got [-1e+308, 1e+308]"),
+    ("run", {"acquisition": {"gamma": 10**400}}, "acquisition.gamma: int too large to convert to float"),
+    ("run", {"gp": {"log_noise": [0, 10**400]}}, "log_noise must lie within [-300, 300]"),
+    ("compare", {"objective": {"name": "sphere", "dims": 64, "negate": True},
+                 "experiment": _experiment({"kind": "random_search"},
+                                           {"kind": "grid_search", "points_per_dim": 2})},
+     "grid of 18446744073709551616 points exceeds cap 1000000"),
 ], ids=["inverted-gp-bound", "one-element-gp-bound", "scalar-gp-bound", "unstable-method-pso",
         "grid-over-cap-after-pso_bo", "inverted-space-dim", "negative-noise-var",
         "string-omega", "bool-c1", "string-population", "float-max-iters", "string-gamma",
@@ -555,7 +575,10 @@ _TWO_DIMS = [{"name": "a", "type": "real", "lower": 0.0, "upper": 1.0},
         "negative-seed", "negative-baseline-budget", "zero-budget", "no-sweep-omegas",
         "empty-space-run", "empty-space-compare", "empty-space-sweep", "narrow-space-run",
         "narrow-space-compare", "narrow-space-sweep", "wide-space-run", "underflowing-gp-theta0",
-        "overflowing-gp-lengthscale"])
+        "overflowing-gp-lengthscale", "nan-gamma", "inf-ei-xi", "nan-noise-std", "nan-tol",
+        "negative-tol", "zero-patience", "inf-space-upper", "huge-int-space-upper",
+        "overflowing-space-range", "huge-int-gamma", "huge-int-gp-bound",
+        "grid-size-past-int64"])
 def test_config_error_exits_2_before_any_evaluation(tmp_path, capsys, caplog, monkeypatch,
                                                      command, raw, cause):
     calls = _count_evaluations(monkeypatch)
@@ -594,6 +617,17 @@ def test_non_integer_env_seed_exits_2_before_any_evaluation(tmp_path, capsys, mo
     out = tmp_path / "o"
     assert main(["run", "--config", cfg, "--output-dir", str(out)]) == EXIT_CONFIG
     assert "SWARMBO_SEED: expected an integer, got 'abc'" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
+
+
+def test_config_not_utf8_exits_2_before_any_evaluation(tmp_path, capsys, monkeypatch):
+    calls = _count_evaluations(monkeypatch)
+    cfg = tmp_path / "c.yaml"
+    cfg.write_bytes(b"objective: {name: sphere, dims: 1, negate: true}\n# \xff\n")
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg), "--output-dir", str(out)]) == EXIT_CONFIG
+    assert "cannot read config: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
     assert calls == []
     assert not out.exists()
 
@@ -645,6 +679,27 @@ def test_baseline_objective_failure_exits_1(tmp_path, capsys, monkeypatch):
     assert main(["compare", "--config", cfg, "--output-dir", str(tmp_path / "o")]) == EXIT_RUNTIME
     err = capsys.readouterr().err
     assert "runtime error: objective evaluation 0 failed: solver diverged" in err
+
+
+@pytest.mark.parametrize("error", [ValueError, TypeError])
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_error_raised_mid_run_exits_1(tmp_path, capsys, monkeypatch, command, error):
+    # exit 2 means "fix the config": a ValueError or TypeError raised after the
+    # initial design's evaluations is a runtime failure, whatever its type
+    calls = _count_evaluations(monkeypatch)
+
+    def evaluate(*args):
+        raise error("surface broke")
+
+    monkeypatch.setattr(boloop, "evaluate", evaluate)
+    cfg = write_config(tmp_path / "c.yaml", {
+        "objective": dict(SPHERE_1D), "bo": {"init_count": 3},
+        "experiment": _experiment({"kind": "pso_bo"}, {"kind": "random_search"}),
+    })
+    assert main([command, "--config", cfg, "--output-dir", str(tmp_path / "o")]) == EXIT_RUNTIME
+    assert "runtime error: surface broke" in capsys.readouterr().err
+    # run: the initial design; compare: pso_bo's design on both seeds, then random search
+    assert len(calls) == (3 if command == "run" else 2 * 3 + 2 * 8)
 
 
 @pytest.mark.parametrize("module", ["scipy.spatial", "scipy.special", "scipy.linalg"])

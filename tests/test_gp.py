@@ -17,7 +17,7 @@ from swarmbo.gp import (
     log_marginal_likelihood,
     predict,
 )
-from swarmbo.space import Dimension, DimensionMismatchError, REAL, SearchSpace
+from swarmbo.space import ConfigError, Dimension, DimensionMismatchError, REAL, SearchSpace
 
 from helpers import run_fresh_interpreter
 
@@ -354,14 +354,14 @@ class TestFitBounds:
         (-8.0, float("inf")), ("-8", "0"), "ab", -8.0, None, [[-8, 0], 1], np.array([-8.0, 0.0]),
     ])
     def test_invalid_pair_names_the_field(self, field, bad):
-        with pytest.raises(InvalidParamsError, match=f"{field} must be a finite pair"):
+        with pytest.raises(ConfigError, match=f"{field} must be a finite pair"):
             FitBounds(**{field: bad})
 
     @pytest.mark.parametrize("field", ["log_theta0", "log_lengthscale", "log_noise"])
     @pytest.mark.parametrize("bad", [(-400, -399), (300, 310), (-301, 0), (0, 300.5)])
     def test_pair_outside_the_log10_range_names_the_field(self, field, bad):
         # 10**310 is inf and 10**-400 is 0: neither is a usable hyperparameter
-        with pytest.raises(InvalidParamsError, match=rf"{field} must lie within \[-300, 300\]"):
+        with pytest.raises(ConfigError, match=rf"{field} must lie within \[-300, 300\]"):
             FitBounds(**{field: bad})
 
     def test_range_ends_accepted(self):
