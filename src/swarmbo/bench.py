@@ -12,7 +12,9 @@ import itertools
 import json
 import logging
 import math
+import sys
 from dataclasses import asdict, dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -105,6 +107,8 @@ class ObjectiveSpec:
             raise ConfigError(f"{self.name} requires dims={arity}, got {self.dims}")
         if self.dims < 1:
             raise ConfigError("dims must be at least 1")
+        if self.dims > sys.maxsize:  # a size numpy can index
+            raise ConfigError(f"dims must be at most {sys.maxsize}")
         if not 0.0 <= self.noise_std < np.inf:
             raise ConfigError(f"noise_std must be finite and non-negative, got {self.noise_std!r}")
         if not isinstance(self.negate, (bool, np.bool_)):
@@ -170,6 +174,8 @@ class MethodSpec:
             raise ConfigError("local_bo needs max_steps >= 0")
         if self.kind == GRID_SEARCH and self.points_per_dim < 2:
             raise ConfigError("grid_search needs points_per_dim >= 2")
+        if self.kind == GRID_SEARCH and self.points_per_dim > sys.maxsize:
+            raise ConfigError(f"grid_search needs points_per_dim <= {sys.maxsize}")
 
 
 def local_ascent(space: SearchSpace, surface, rng: np.random.Generator,
@@ -285,11 +291,19 @@ def grid_points(space: SearchSpace, points_per_dim: int):
 
 @dataclass
 class MethodReport:
+    """One method's row: its finished cells by ascending seed, and the seeds that failed."""
+
     kind: str
-    per_seed_best: dict[int, float]
-    eval_counts: dict[int, int]
-    traces: dict[int, np.ndarray] = field(repr=False, default_factory=dict)
-    missing_seeds: list[int] = field(default_factory=list)
+    cells: dict[int, BoResult] = field(repr=False)
+    missing_seeds: list[int]
+
+    @property
+    def per_seed_best(self) -> dict[int, float]:
+        return {s: c.best_value for s, c in self.cells.items()}
+
+    @property
+    def eval_counts(self) -> dict[int, int]:
+        return {s: c.n_evaluations for s, c in self.cells.items()}
 
     @property
     def max(self) -> float:
@@ -301,8 +315,7 @@ class MethodReport:
 
     @property
     def ave(self) -> float:
-        vals = list(self.per_seed_best.values())
-        return sum(vals) / len(vals)
+        return sum(self.per_seed_best.values()) / len(self.cells)
 
 
 @dataclass
@@ -372,16 +385,18 @@ def run_experiment(methods: list[MethodSpec], objective_spec: ObjectiveSpec,
     objective's canonical space); each cell sets its `seed`, and its
     `iterations` to `budget - init_count`. Methods may share a kind (an omega
     sweep is PSO_BO methods that differ in `pso`); the report has one row per
-    method, in order. A failed (method, seed) cell is logged and recorded as
-    missing, never silently averaged; a method that fails on every seed raises
-    its first error. Cells run one after another, in method then seed order.
+    method, in order, holding the BoResult of each finished cell by seed. A
+    failed (method, seed) cell is logged and its seed listed as missing, never
+    silently averaged; a method that fails on every seed raises its first
+    error once every cell has run. Cells run one after another, in method then
+    seed order.
     """
     if not methods:
         raise ConfigError("need at least one method (a sweep: at least one omega)")
     if not seeds:
         raise ConfigError("need at least one seed")
     if len(set(seeds)) != len(seeds):
-        # cells are keyed by (method, seed): a repeated seed would be one cell
+        # a row keys its cells by seed: a repeated seed would be one cell
         raise ConfigError(f"duplicate seeds in {list(seeds)}")
     if min(seeds) < 0:
         raise ConfigError(f"seeds must be non-negative, got {list(seeds)}")
@@ -395,37 +410,21 @@ def run_experiment(methods: list[MethodSpec], objective_spec: ObjectiveSpec,
     for m in methods:
         if m.kind == GRID_SEARCH:
             grid_points(config.space, m.points_per_dim)  # raises here if over GRID_CAP
-    cells = [(i, s) for i in range(len(methods)) for s in seeds]
-
-    def run_cell(cell):
-        i, seed = cell
-        try:
-            return run_method_cell(methods[i], objective_spec, config, seed, budget)
-        except Exception as exc:
-            m = methods[i]
-            omega = "" if m.pso is None else f", omega={m.pso.omega!r}"
-            log.warning("cell (method %d: %s%s, seed=%d) failed: %s", i, m.kind, omega, seed, exc)
-            return exc
-
-    results = {cell: run_cell(cell) for cell in cells}
-
-    reports = []
-    for i, method in enumerate(methods):
-        outcomes = [results[(i, s)] for s in seeds]
-        if all(isinstance(r, Exception) for r in outcomes):
-            raise outcomes[0]
-        per_seed, counts, traces, missing = {}, {}, {}, []
-        for seed in sorted(seeds):
-            res = results[(i, seed)]
-            if isinstance(res, Exception):
-                missing.append(seed)
-                continue
-            per_seed[seed] = res.best_value
-            counts[seed] = res.n_evaluations
-            traces[seed] = res.incumbent_trace
-        reports.append(MethodReport(kind=method.kind, per_seed_best=per_seed,
-                                    eval_counts=counts, traces=traces,
-                                    missing_seeds=missing))
+    reports, errors = [], []
+    for i, m in enumerate(methods):
+        cells, failed = {}, {}
+        for seed in seeds:
+            try:
+                cells[seed] = run_method_cell(m, objective_spec, config, seed, budget)
+            except Exception as exc:
+                omega = "" if m.pso is None else f", omega={m.pso.omega!r}"
+                log.warning("cell (method %d: %s%s, seed=%d) failed: %s", i, m.kind, omega, seed, exc)
+                failed[seed] = exc
+        if not cells:
+            errors.append(failed[seeds[0]])
+        reports.append(MethodReport(m.kind, dict(sorted(cells.items())), sorted(failed)))
+    if errors:
+        raise errors[0]
     report = ExperimentReport(objective=objective_spec, seeds=sorted(seeds),
                               budget=budget, methods=reports)
     report.assert_budget_parity()
@@ -478,9 +477,6 @@ def write_trace_csv(trace: np.ndarray, path):
 
 
 def write_experiment_traces(report: ExperimentReport, out_dir):
-    from pathlib import Path
-
-    out = Path(out_dir)
     for m in report.methods:
-        for seed, trace in m.traces.items():
-            write_trace_csv(trace, out / f"trace_{m.kind}_{seed}.csv")
+        for seed, cell in m.cells.items():
+            write_trace_csv(cell.incumbent_trace, Path(out_dir, f"trace_{m.kind}_{seed}.csv"))

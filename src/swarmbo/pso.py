@@ -13,6 +13,7 @@ in, an (m,) array of values out.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,6 +51,8 @@ class PsoParams:
             )
         if self.population < 2:
             raise ConfigError("population must be at least 2")
+        if self.population > sys.maxsize:  # a size numpy can index
+            raise ConfigError(f"population must be at most {sys.maxsize}")
         if self.max_iters < 1:
             raise ConfigError("max_iters must be at least 1")
         if not 0.0 < self.vmax_fraction <= 1.0:

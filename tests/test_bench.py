@@ -1,3 +1,7 @@
+import json
+import sys
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 import yaml
@@ -6,6 +10,7 @@ from swarmbo import bench
 from swarmbo.acquisition import EI, PI, UCB, AcquisitionSpec, evaluate
 from swarmbo.bench import (
     GRID_SEARCH,
+    ExperimentReport,
     LOCAL_BO,
     MethodSpec,
     ObjectiveSpec,
@@ -22,6 +27,7 @@ from swarmbo.bench import (
 from swarmbo.boloop import BO, INIT, BoConfig, BoResult, ObjectiveFailureError, component_rng
 from swarmbo.gp import KernelParams, fit_model
 from swarmbo.cli import EXIT_CONFIG, EXIT_RUNTIME, main
+from swarmbo.pso import PsoParams
 from swarmbo.space import ConfigError, Dimension, DimensionMismatchError, INTEGER, REAL, SearchSpace
 
 from helpers import read_report_csv, sweep_methods
@@ -30,7 +36,30 @@ BRANIN_OPT = 0.397887357729738  # value at (pi, 2.275), frozen via mpmath
 HARTMANN3_OPT = -3.86278
 
 
+def as_json(result: BoResult) -> str:
+    """Every field of a cell's record, its floats written exactly (repr)."""
+    return json.dumps(asdict(result), default=np.ndarray.tolist)
+
+
+@pytest.mark.parametrize("build, cause", [
+    (lambda n: ObjectiveSpec("sphere", dims=n), "dims must be at most"),
+    (lambda n: MethodSpec(GRID_SEARCH, points_per_dim=n), "grid_search needs points_per_dim <="),
+    (lambda n: PsoParams(population=n), "population must be at most"),
+], ids=["dims", "points_per_dim", "population"])
+def test_size_past_sys_maxsize_is_a_config_error(build, cause):
+    # a size numpy cannot index fails when it is built, not mid-run; building
+    # at sys.maxsize itself allocates nothing
+    build(sys.maxsize)
+    with pytest.raises(ConfigError, match=cause):
+        build(sys.maxsize + 1)
+
+
 class TestObjectives:
+    def test_noisy_objective_needs_an_rng(self):
+        spec = ObjectiveSpec("sphere", dims=1, noise_std=0.1)
+        with pytest.raises(ValueError, match="noisy objective needs an rng"):
+            eval_objective(spec, np.zeros(1))
+
     def test_sphere_origin_negated(self):
         spec = ObjectiveSpec("sphere", dims=3, negate=True)
         assert eval_objective(spec, np.zeros(3)) == 0.0
@@ -514,6 +543,7 @@ class TestRunExperiment:
         pso = report.methods[0]
         assert pso.missing_seeds == [1]
         assert list(pso.per_seed_best) == [0]
+        assert list(pso.cells) == [0]  # the failed seed keeps no cell
 
     def test_non_finite_baseline_cell_is_missing(self, monkeypatch):
         spec = ObjectiveSpec("sphere", dims=1, negate=True)
@@ -532,6 +562,7 @@ class TestRunExperiment:
         for m in report.methods:
             assert m.missing_seeds == [1]
             assert list(m.per_seed_best) == [0]
+            assert list(m.cells) == [0]
 
     def test_baseline_failure_names_the_evaluation(self, monkeypatch):
         space = SearchSpace([Dimension("a", REAL, 0, 1)])
@@ -577,8 +608,26 @@ class TestRunExperiment:
         assert [m.kind for m in report.methods] == [LOCAL_BO, RANDOM_SEARCH, LOCAL_BO]
         config = BoConfig(space=default_space(spec))
         for method, m in zip(methods, report.methods):  # rows in method order
-            assert m.per_seed_best == {s: run_method_cell(method, spec, config, s, 8).best_value
-                                       for s in (0, 1)}
+            fresh = {s: run_method_cell(method, spec, config, s, 8) for s in (0, 1)}
+            assert m.per_seed_best == {s: cell.best_value for s, cell in fresh.items()}
+            # each row keeps its cells' whole records: history, trace and count
+            assert list(m.cells) == [0, 1]
+            for s, cell in m.cells.items():
+                assert as_json(cell) == as_json(fresh[s])
+
+    def test_cells_are_keyed_by_ascending_seed(self):
+        spec = ObjectiveSpec("sphere", dims=1, negate=True)
+        report = run_experiment([MethodSpec(RANDOM_SEARCH)], spec, [2, 0, 1], budget=3)
+        (m,) = report.methods
+        assert report.seeds == list(m.cells) == [0, 1, 2]
+        assert m.eval_counts == {0: 3, 1: 3, 2: 3}
+
+    def test_budget_parity_names_the_counts(self):
+        spec = ObjectiveSpec("sphere", dims=1, negate=True)
+        a, b = (run_experiment([MethodSpec(RANDOM_SEARCH)], spec, [0], budget=n) for n in (3, 4))
+        report = ExperimentReport(spec, [0], 3, a.methods + b.methods)
+        with pytest.raises(AssertionError, match=r"counts differ across methods: \[3, 4\]"):
+            report.assert_budget_parity()
 
     def test_duplicate_seeds_rejected(self, monkeypatch):
         spec = ObjectiveSpec("sphere", dims=1, negate=True)
@@ -588,6 +637,11 @@ class TestRunExperiment:
             run_experiment([MethodSpec(RANDOM_SEARCH), MethodSpec(PSO_BO)], spec, [0, 1, 0],
                            budget=8)
         assert made == []  # checked before any cell runs
+
+    def test_needs_a_seed(self):
+        spec = ObjectiveSpec("sphere", dims=1, negate=True)
+        with pytest.raises(ConfigError, match="need at least one seed"):
+            run_experiment([MethodSpec(RANDOM_SEARCH)], spec, [], budget=3)
 
     def test_needs_a_method(self):
         spec = ObjectiveSpec("sphere", dims=1, negate=True)

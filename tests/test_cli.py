@@ -561,6 +561,29 @@ _TWO_DIMS = [{"name": "a", "type": "real", "lower": 0.0, "upper": 1.0},
                  "experiment": _experiment({"kind": "random_search"},
                                            {"kind": "grid_search", "points_per_dim": 2})},
      "grid of 18446744073709551616 points exceeds cap 1000000"),
+    ("run", {"pso": {"population": 10**400}}, "population must be at most 9223372036854775807"),
+    ("run", {"objective": {**SPHERE_1D, "dims": 10**400}}, "dims must be at most 9223372036854775807"),
+    ("compare", {"experiment": _experiment({"kind": "random_search"},
+                                           {"kind": "grid_search", "points_per_dim": 10**400})},
+     "grid_search needs points_per_dim <= 9223372036854775807"),
+    ("run", {"objective": {"name": "nosuch", "dims": 1}}, "unknown objective 'nosuch'"),
+    ("run", {"objective": {**SPHERE_1D, "dims": 0}}, "dims must be at least 1"),
+    ("compare", {"experiment": _experiment({"kind": "random_search"}, {"kind": "nosuch"})},
+     "unknown method kind 'nosuch'"),
+    ("compare", {"experiment": _experiment({"kind": "random_search"},
+                                           {"kind": "grid_search", "points_per_dim": 1})},
+     "grid_search needs points_per_dim >= 2"),
+    ("run", {"pso": {"population": 1}}, "population must be at least 2"),
+    ("run", {"pso": {"max_iters": 0}}, "max_iters must be at least 1"),
+    ("run", {"pso": {"vmax_fraction": 0}}, "vmax_fraction must be in (0, 1]"),
+    ("run", {"space": [{"name": "a", "type": "float", "lower": 0.0, "upper": 1.0}]},
+     "dimension 'a': unknown kind 'float'"),
+    ("run", {"pso": 5}, "pso: expected a mapping"),
+    ("run", "objective: {name: sphere\n", "config is not valid YAML"),
+    ("compare", {}, "config: missing required section 'experiment'"),
+    ("compare", {"experiment": {**_experiment({"kind": "random_search"}, {"kind": "pso_bo"}),
+                                "seeds": [0]}},
+     "experiment.seeds: need at least two seeds"),
 ], ids=["inverted-gp-bound", "one-element-gp-bound", "scalar-gp-bound", "unstable-method-pso",
         "grid-over-cap-after-pso_bo", "inverted-space-dim", "negative-noise-var",
         "string-omega", "bool-c1", "string-population", "float-max-iters", "string-gamma",
@@ -578,17 +601,32 @@ _TWO_DIMS = [{"name": "a", "type": "real", "lower": 0.0, "upper": 1.0},
         "overflowing-gp-lengthscale", "nan-gamma", "inf-ei-xi", "nan-noise-std", "nan-tol",
         "negative-tol", "zero-patience", "inf-space-upper", "huge-int-space-upper",
         "overflowing-space-range", "huge-int-gamma", "huge-int-gp-bound",
-        "grid-size-past-int64"])
+        "grid-size-past-int64", "huge-int-population", "huge-int-dims",
+        "huge-int-points-per-dim", "unknown-objective", "zero-dims", "unknown-method-kind",
+        "one-point-per-dim", "one-particle", "zero-max-iters", "zero-vmax-fraction",
+        "float-space-type", "scalar-pso", "invalid-yaml", "compare-without-experiment",
+        "compare-one-seed"])
 def test_config_error_exits_2_before_any_evaluation(tmp_path, capsys, caplog, monkeypatch,
                                                      command, raw, cause):
     calls = _count_evaluations(monkeypatch)
-    cfg = write_config(tmp_path / "c.yaml", {"objective": dict(SPHERE_1D), **raw})
+    cfg = tmp_path / "c.yaml"
+    if isinstance(raw, str):  # the file's text as written
+        cfg.write_text(raw, encoding="utf-8")
+    else:
+        write_config(cfg, {"objective": dict(SPHERE_1D), **raw})
     out = tmp_path / "o"
-    assert main([command, "--config", cfg, "--output-dir", str(out)]) == EXIT_CONFIG
+    assert main([command, "--config", str(cfg), "--output-dir", str(out)]) == EXIT_CONFIG
     assert cause in capsys.readouterr().err
     assert calls == []
     assert "cell (" not in caplog.text
     assert not out.exists()
+
+
+def test_seed_is_not_a_size(tmp_path):
+    # a seed past int64 only seeds the streams, so it runs; the size keys are capped
+    cfg = write_config(tmp_path / "c.yaml", {"objective": dict(SPHERE_1D), "seed": 10**30,
+                                             "bo": {"init_count": 2, "iterations": 1}})
+    assert main(["run", "--config", cfg, "--output-dir", str(tmp_path / "o")]) == EXIT_OK
 
 
 def _record_objective_calls(monkeypatch, record):

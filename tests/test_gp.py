@@ -119,6 +119,15 @@ class TestFitAndPredict:
         with pytest.raises(ValueError):
             fit_model(unit_box(), [[0.2], [0.7]], [1.0, bad], params)
 
+    @pytest.mark.parametrize("xs, ys, cause", [
+        ([[0.2], [0.7]], [1.0], "xs and ys length mismatch"),
+        (np.empty((0, 1)), [], "need at least one observation"),
+    ], ids=["mismatched", "no-rows"])
+    def test_training_data_shape_rejected(self, xs, ys, cause):
+        params = KernelParams(theta0=1.0, lengthscales=[0.5], noise_var=0.0)
+        with pytest.raises(InvalidParamsError, match=cause):
+            fit_model(unit_box(), xs, ys, params)
+
     def test_single_point_interpolation(self):
         space = unit_box()
         params = KernelParams(theta0=1.0, lengthscales=[0.5], noise_var=0.0)
@@ -409,6 +418,16 @@ class TestFitHyperparams:
         assert rng.bit_generator.state == state
         with pytest.raises(InvalidParamsError, match="finite"):
             fit_hyperparams(unit_box(2), [[0.1, 0.7]], [np.nan], rng)
+
+    @pytest.mark.parametrize("noise_var", [None, 0.3])
+    def test_every_particle_failing_to_factorize_gets_the_fallback(self, monkeypatch, noise_var):
+        monkeypatch.setattr(gp, "_potrf", lambda a, lower, clean: (a, 1))  # info 1: not positive definite
+        rng = np.random.default_rng(4)
+        fitted = fit_hyperparams(unit_box(2), rng.random((4, 2)), rng.normal(size=4),
+                                 np.random.default_rng(5), noise_var=noise_var)
+        want = gp.fallback_params(2, noise_var)
+        assert (fitted.theta0, fitted.noise_var) == (want.theta0, want.noise_var)
+        assert np.array_equal(fitted.lengthscales, want.lengthscales)
 
     def test_pinned_noise_respected(self):
         rng = np.random.default_rng(10)
