@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gp import GpModel, Posterior, predict
-from .space import ConfigError
+from .space import ConfigError, check_finite
 
 UCB = "ucb"
 EI = "ei"
@@ -25,10 +25,8 @@ class AcquisitionSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ConfigError(f"unknown acquisition kind {self.kind!r}")
-        if not 0.0 <= self.gamma < np.inf:
-            raise ConfigError(f"gamma must be finite and non-negative, got {self.gamma!r}")
-        if not 0.0 <= self.xi < np.inf:
-            raise ConfigError(f"xi must be finite and non-negative, got {self.xi!r}")
+        check_finite("gamma", self.gamma)
+        check_finite("xi", self.xi)
 
 
 def _norm_cdf(z):

@@ -8,11 +8,11 @@ evaluations (budget parity is asserted in the report).
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import json
 import logging
 import math
-import sys
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -27,6 +27,8 @@ from .space import (
     INTEGER,
     REAL,
     SearchSpace,
+    check_finite,
+    check_size,
     # unused here (local_ascent clips its floats itself, baselines evaluate through
     # boloop.observe); kept as bench.clamp and bench.materialize, perfbench's tracer patches them
     clamp,
@@ -105,12 +107,8 @@ class ObjectiveSpec:
         arity = _OBJECTIVES[self.name][1]
         if arity is not None and self.dims != arity:
             raise ConfigError(f"{self.name} requires dims={arity}, got {self.dims}")
-        if self.dims < 1:
-            raise ConfigError("dims must be at least 1")
-        if self.dims > sys.maxsize:  # a size numpy can index
-            raise ConfigError(f"dims must be at most {sys.maxsize}")
-        if not 0.0 <= self.noise_std < np.inf:
-            raise ConfigError(f"noise_std must be finite and non-negative, got {self.noise_std!r}")
+        check_size("dims", self.dims, 1)
+        check_finite("noise_std", self.noise_std)
         if not isinstance(self.negate, (bool, np.bool_)):
             # a string such as "no" would otherwise test true
             raise ConfigError(f"negate must be a bool, got {self.negate!r}")
@@ -168,14 +166,11 @@ class MethodSpec:
     def __post_init__(self):
         if self.kind not in (PSO_BO, LOCAL_BO, RANDOM_SEARCH, GRID_SEARCH):
             raise ConfigError(f"unknown method kind {self.kind!r}")
-        if self.kind == LOCAL_BO and self.restarts < 1:
-            raise ConfigError("local_bo needs at least one restart")
-        if self.kind == LOCAL_BO and self.max_steps < 0:
-            raise ConfigError("local_bo needs max_steps >= 0")
-        if self.kind == GRID_SEARCH and self.points_per_dim < 2:
-            raise ConfigError("grid_search needs points_per_dim >= 2")
-        if self.kind == GRID_SEARCH and self.points_per_dim > sys.maxsize:
-            raise ConfigError(f"grid_search needs points_per_dim <= {sys.maxsize}")
+        if self.kind == LOCAL_BO:
+            check_size("restarts", self.restarts, 1)
+            check_size("max_steps", self.max_steps, 0)
+        if self.kind == GRID_SEARCH:
+            check_size("points_per_dim", self.points_per_dim, 2)
 
 
 def local_ascent(space: SearchSpace, surface, rng: np.random.Generator,
@@ -200,10 +195,8 @@ def local_ascent(space: SearchSpace, surface, rng: np.random.Generator,
     per-call numpy overhead would cost more than the arithmetic. Every float
     operation is the one numpy would do on the same values.
     """
-    if restarts < 1:
-        raise ConfigError("restarts must be at least 1")
-    if max_steps < 0:
-        raise ConfigError("max_steps must be non-negative")
+    check_size("restarts", restarts, 1)
+    check_size("max_steps", max_steps, 0)
     d = space.dim
     h = 1e-6 * space.ranges
     offsets = np.concatenate([h * np.eye(d), -(h * np.eye(d))]).tolist()  # x + h e_j, then x - h e_j
@@ -270,19 +263,15 @@ def local_ascent(space: SearchSpace, surface, rng: np.random.Generator,
 
 
 def grid_points(space: SearchSpace, points_per_dim: int):
-    """Lazy Cartesian lattice of at most GRID_CAP points; integer dims get their own (coarser) one."""
-    axes = []
-    for d in space.dims:
-        if d.kind == INTEGER:
-            lo, hi = math.ceil(d.lower), math.floor(d.upper)
-            n_int = hi - lo + 1
-            if n_int <= points_per_dim:
-                axes.append(np.arange(lo, hi + 1, dtype=float))
-                continue
-        axes.append(np.linspace(d.lower, d.upper, points_per_dim))
-    total = math.prod(len(a) for a in axes)  # a Python int: numpy's int64 product can wrap
+    """Lazy Cartesian lattice of at most GRID_CAP points, counted before any axis
+    is built; an integer dim with at most `points_per_dim` integers takes exactly those."""
+    n_int = [math.floor(d.upper) - math.ceil(d.lower) + 1 if d.kind == INTEGER else math.inf
+             for d in space.dims]
+    total = math.prod(min(n, points_per_dim) for n in n_int)  # Python ints: an int64 product can wrap
     if total > GRID_CAP:
         raise ConfigError(f"grid of {total} points exceeds cap {GRID_CAP}")
+    axes = [np.arange(math.ceil(d.lower), math.floor(d.upper) + 1, dtype=float) if n <= points_per_dim
+            else np.linspace(d.lower, d.upper, points_per_dim) for d, n in zip(space.dims, n_int)]
     return map(np.array, itertools.product(*axes))
 
 
@@ -355,10 +344,8 @@ def run_method_cell(method: MethodSpec, objective_spec: ObjectiveSpec,
         config = replace(config, pso=method.pso or config.pso,
                          iterations=budget - config.init_count, seed=seed)
 
-        def ascent(space, surface, tag):  # the same BO loop, maximized by local ascent
-            return local_ascent(space, surface, component_rng(seed, tag),
-                                restarts=method.restarts, max_steps=method.max_steps)
-
+        # the same BO loop, maximized by local ascent (read per cell: a patched one sees each call)
+        ascent = functools.partial(local_ascent, restarts=method.restarts, max_steps=method.max_steps)
         result = run_bo(config, objective, maximizer=ascent if method.kind == LOCAL_BO else None)
     else:
         # a baseline scans its lattice in order, then uniform draws, truncated to
@@ -398,10 +385,9 @@ def run_experiment(methods: list[MethodSpec], objective_spec: ObjectiveSpec,
     if len(set(seeds)) != len(seeds):
         # a row keys its cells by seed: a repeated seed would be one cell
         raise ConfigError(f"duplicate seeds in {list(seeds)}")
-    if min(seeds) < 0:
+    if not all(s >= 0 for s in seeds):  # seeds are no sizes: uncapped
         raise ConfigError(f"seeds must be non-negative, got {list(seeds)}")
-    if budget < 1:
-        raise ConfigError(f"budget must be at least 1, got {budget}")
+    check_size("budget", budget, 1)
     if config is None:
         config = BoConfig(space=default_space(objective_spec))
     check_space_width(objective_spec, config.space)

@@ -17,7 +17,7 @@ import numpy as np
 from . import gp
 from .acquisition import AcquisitionSpec, evaluate
 from .pso import PsoParams, run_pso
-from .space import ConfigError, SearchSpace, materialize, sample_uniform
+from .space import ConfigError, SearchSpace, check_finite, check_size, materialize, sample_uniform
 
 log = logging.getLogger(__name__)
 
@@ -57,14 +57,12 @@ class BoConfig:
     gp_bounds: gp.FitBounds = gp.FitBounds()
 
     def __post_init__(self):
-        if self.init_count < 1:
-            raise ConfigError("init_count must be at least 1")
-        if self.iterations < 1:
-            raise ConfigError("iterations must be at least 1")
-        if self.seed < 0:
+        check_size("init_count", self.init_count, 1)
+        check_size("iterations", self.iterations, 1)
+        if not self.seed >= 0:  # a seed is no size: any non-negative integer seeds the streams
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        if self.noise_var is not None and not 0.0 <= self.noise_var < np.inf:
-            raise ConfigError(f"noise_var must be finite and non-negative, got {self.noise_var!r}")
+        if self.noise_var is not None:
+            check_finite("noise_var", self.noise_var)
 
 
 @dataclass(frozen=True)
@@ -117,8 +115,9 @@ def propose_next(config: BoConfig, history: list[Observation], t: int,
     Returns (point, kernel params): the surrogate's params, or `start` itself
     if the surrogate could not be factorized and the point is a random one.
     `start` warm-starts the hyperparameter fit (see gp.fit_hyperparams).
-    `maximizer(space, surface, seed_tag)` may replace the swarm (used by the
-    local-ascent baseline); the surface is vectorized over row-batches.
+    `maximizer(space, surface, rng)` may replace the swarm (used by the
+    local-ascent baseline); the surface is vectorized over row-batches, and the
+    rng is the step's own stream, tagged "inner:{t}".
     """
     xs = np.array([r.point for r in history])
     ys = np.array([r.y for r in history])
@@ -137,7 +136,7 @@ def propose_next(config: BoConfig, history: list[Observation], t: int,
         return evaluate(config.acquisition, model, X, incumbent)
 
     if maximizer is not None:
-        return maximizer(config.space, surface, f"inner:{t}"), model.params
+        return maximizer(config.space, surface, component_rng(config.seed, f"inner:{t}")), model.params
     result = run_pso(config.space, config.pso, surface, component_rng(config.seed, f"pso:{t}"))
     return result.best_position, model.params
 

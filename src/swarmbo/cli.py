@@ -117,7 +117,7 @@ def load_config(path) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             raw = yaml.safe_load(fh)
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # e.g. undecodable text, or an integer past 4,300 digits
         raise ConfigError(f"cannot read config: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"config is not valid YAML: {exc}") from exc

@@ -13,12 +13,11 @@ in, an (m,) array of values out.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .space import ConfigError, SearchSpace, clamp
+from .space import ConfigError, SearchSpace, check_finite, check_size, clamp
 
 
 class OmegaOutOfRangeError(ConfigError):
@@ -49,18 +48,12 @@ class PsoParams:
             raise LearningFactorsOutOfRangeError(
                 f"c1+c2={s} outside (0, {4.0 * (1.0 + self.omega)})"
             )
-        if self.population < 2:
-            raise ConfigError("population must be at least 2")
-        if self.population > sys.maxsize:  # a size numpy can index
-            raise ConfigError(f"population must be at most {sys.maxsize}")
-        if self.max_iters < 1:
-            raise ConfigError("max_iters must be at least 1")
+        check_size("population", self.population, 2)
+        check_size("max_iters", self.max_iters, 1)
         if not 0.0 < self.vmax_fraction <= 1.0:
             raise ConfigError("vmax_fraction must be in (0, 1]")
-        if not 0.0 <= self.tol < np.inf:
-            raise ConfigError(f"tol must be finite and non-negative, got {self.tol!r}")
-        if self.patience < 1:
-            raise ConfigError(f"patience must be at least 1, got {self.patience!r}")
+        check_finite("tol", self.tol)
+        check_size("patience", self.patience, 1)
 
 
 @dataclass(frozen=True)

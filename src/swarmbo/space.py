@@ -8,6 +8,7 @@ and reporting boundaries.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +20,22 @@ INTEGER = "integer"
 class ConfigError(ValueError):
     """An invalid config value or setting, raised by the check that reads it; the
     CLI exits 2 on this type alone."""
+
+
+def check_size(name: str, value, least: int):
+    """Raise ConfigError unless `least <= value <= sys.maxsize`, a size numpy can
+    index; NaN fails both comparisons."""
+    if not value >= least:
+        got = "" if value < -sys.maxsize else f", got {value!r}"  # repr fails past 4,300 digits
+        raise ConfigError(f"{name} must be at least {least}{got}")
+    if not value <= sys.maxsize:  # no value in the message, for the same reason
+        raise ConfigError(f"{name} must be at most {sys.maxsize}")
+
+
+def check_finite(name: str, value):
+    """Raise ConfigError unless `0 <= value < inf`; NaN fails."""
+    if not 0.0 <= value < math.inf:
+        raise ConfigError(f"{name} must be finite and non-negative, got {value!r}")
 
 
 class DimensionMismatchError(ValueError):

@@ -41,17 +41,68 @@ def as_json(result: BoResult) -> str:
     return json.dumps(asdict(result), default=np.ndarray.tolist)
 
 
-@pytest.mark.parametrize("build, cause", [
-    (lambda n: ObjectiveSpec("sphere", dims=n), "dims must be at most"),
-    (lambda n: MethodSpec(GRID_SEARCH, points_per_dim=n), "grid_search needs points_per_dim <="),
-    (lambda n: PsoParams(population=n), "population must be at most"),
-], ids=["dims", "points_per_dim", "population"])
-def test_size_past_sys_maxsize_is_a_config_error(build, cause):
+SPACE_1D = SearchSpace([Dimension("a", REAL, 0, 1)])
+
+# every size field, built with the value n; each is an integer in [least, sys.maxsize]
+SIZES = {
+    "dims": lambda n: ObjectiveSpec("sphere", dims=n),
+    "points_per_dim": lambda n: MethodSpec(GRID_SEARCH, points_per_dim=n),
+    "population": lambda n: PsoParams(population=n),
+    "max_iters": lambda n: PsoParams(max_iters=n),
+    "patience": lambda n: PsoParams(patience=n),
+    "init_count": lambda n: BoConfig(space=SPACE_1D, init_count=n),
+    "iterations": lambda n: BoConfig(space=SPACE_1D, iterations=n),
+    "restarts": lambda n: MethodSpec(LOCAL_BO, restarts=n),
+    "max_steps": lambda n: MethodSpec(LOCAL_BO, max_steps=n),
+    "budget": lambda n: run_experiment([MethodSpec(RANDOM_SEARCH)], ObjectiveSpec("sphere", dims=1),
+                                       [0], n),
+}
+
+
+@pytest.mark.parametrize("field", list(SIZES))
+def test_size_past_sys_maxsize_is_a_config_error(field):
     # a size numpy cannot index fails when it is built, not mid-run; building
-    # at sys.maxsize itself allocates nothing
-    build(sys.maxsize)
-    with pytest.raises(ConfigError, match=cause):
-        build(sys.maxsize + 1)
+    # at sys.maxsize itself allocates nothing (a budget that size would run)
+    if field != "budget":
+        SIZES[field](sys.maxsize)
+    with pytest.raises(ConfigError, match=f"{field} must be at most {sys.maxsize}"):
+        SIZES[field](sys.maxsize + 1)
+
+
+@pytest.mark.parametrize("value", [-10**5000, 10**5000], ids=["below", "above"])
+def test_size_of_5001_digits_is_a_config_error(value):
+    # the message names the field but not the value, whose repr would raise
+    with pytest.raises(ConfigError, match="^population must be at (least 2|most [0-9]+)$"):
+        PsoParams(population=value)
+
+
+NON_NEGATIVE = {  # every non-negative number field, and the seeds, which are no sizes
+    "tol": lambda v: PsoParams(tol=v),
+    "noise_var": lambda v: BoConfig(space=SPACE_1D, noise_var=v),
+    "noise_std": lambda v: ObjectiveSpec("sphere", dims=1, noise_std=v),
+    "gamma": lambda v: AcquisitionSpec(gamma=v),
+    "xi": lambda v: AcquisitionSpec(xi=v),
+    "seed": lambda v: BoConfig(space=SPACE_1D, seed=v),
+    "seeds": lambda v: run_experiment([MethodSpec(RANDOM_SEARCH)], ObjectiveSpec("sphere", dims=1),
+                                      [0, v], 3),
+}
+
+
+@pytest.mark.parametrize("field", [*SIZES, *NON_NEGATIVE])
+def test_nan_fails_every_range_check(field):
+    # every comparison with NaN is false, so each check is written to fail on it
+    with pytest.raises(ConfigError, match=rf"^{field} must .*nan"):
+        {**SIZES, **NON_NEGATIVE}[field](float("nan"))
+
+
+@pytest.mark.parametrize("kwargs", [{"restarts": sys.maxsize + 1}, {"max_steps": sys.maxsize + 1},
+                                    {"restarts": float("nan")}, {"max_steps": float("nan")}],
+                         ids=["restarts-past-maxsize", "max-steps-past-maxsize", "nan-restarts",
+                              "nan-max-steps"])
+def test_local_ascent_checks_its_sizes(kwargs):
+    ((field, _),) = kwargs.items()
+    with pytest.raises(ConfigError, match=f"^{field} must be at"):
+        local_ascent(SPACE_1D, lambda X: np.zeros(len(X)), np.random.default_rng(0), **kwargs)
 
 
 class TestObjectives:
@@ -452,6 +503,25 @@ class TestGridSearch:
                             BoConfig(space=space), 0, 10)
         with pytest.raises(ConfigError):
             grid_points(space, 10)  # at the call, before any point is drawn
+
+    def test_over_cap_lattice_builds_no_axis(self, monkeypatch):
+        # the lattice is counted before any axis is built: 10**12 points per
+        # dim would allocate terabytes; the integer dim counts its 6 integers
+        space = SearchSpace([Dimension("a", REAL, 0, 1), Dimension("n", INTEGER, 0, 5)])
+
+        def no_axis(*args, **kwargs):
+            raise AssertionError("an axis was built")
+
+        monkeypatch.setattr(np, "linspace", no_axis)
+        monkeypatch.setattr(np, "arange", no_axis)
+        with pytest.raises(ConfigError, match="grid of 6000000000000 points exceeds cap 1000000"):
+            grid_points(space, 10**12)
+
+    @pytest.mark.parametrize("points_per_dim, axis", [
+        (3, [1.0, 2.0, 3.0]), (4, [1.0, 2.0, 3.0]), (2, [0.5, 3.5])])
+    def test_integer_axis_is_its_integers_while_they_fit(self, points_per_dim, axis):
+        space = SearchSpace([Dimension("n", INTEGER, 0.5, 3.5)])
+        assert [float(x[0]) for x in grid_points(space, points_per_dim)] == axis
 
 
 class TestOneRecord:

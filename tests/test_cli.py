@@ -1,4 +1,5 @@
 import json
+import sys
 import threading
 import types
 import typing
@@ -484,7 +485,7 @@ _TWO_DIMS = [{"name": "a", "type": "real", "lower": 0.0, "upper": 1.0},
      "experiment.methods[1].points_per_dim: expected an integer, got 'ten'"),
     ("compare", {"experiment": _experiment({"kind": "random_search"},
                                            {"kind": "local_bo", "max_steps": -1})},
-     "local_bo needs max_steps >= 0"),
+     "max_steps must be at least 0, got -1"),
     ("run", {"objective": {**SPHERE_1D, "negate": "no"}},
      "objective.negate: expected a bool, got 'no'"),
     ("compare", {"objective": {**SPHERE_1D, "negate": 1},
@@ -565,14 +566,32 @@ _TWO_DIMS = [{"name": "a", "type": "real", "lower": 0.0, "upper": 1.0},
     ("run", {"objective": {**SPHERE_1D, "dims": 10**400}}, "dims must be at most 9223372036854775807"),
     ("compare", {"experiment": _experiment({"kind": "random_search"},
                                            {"kind": "grid_search", "points_per_dim": 10**400})},
-     "grid_search needs points_per_dim <= 9223372036854775807"),
+     "points_per_dim must be at most 9223372036854775807"),
+    ("run", {"bo": {"iterations": sys.maxsize + 1}}, "iterations must be at most 9223372036854775807"),
+    ("run", {"bo": {"init_count": sys.maxsize + 1}}, "init_count must be at most 9223372036854775807"),
+    ("compare", {"experiment": {**_experiment({"kind": "random_search"}, {"kind": "pso_bo"}),
+                                "budget": sys.maxsize + 1}},
+     "budget must be at most 9223372036854775807"),
+    ("compare", {"experiment": _experiment({"kind": "random_search"},
+                                           {"kind": "local_bo", "restarts": sys.maxsize + 1})},
+     "restarts must be at most 9223372036854775807"),
+    ("compare", {"experiment": _experiment({"kind": "random_search"},
+                                           {"kind": "local_bo", "max_steps": sys.maxsize + 1})},
+     "max_steps must be at most 9223372036854775807"),
+    ("run", {"pso": {"max_iters": sys.maxsize + 1}}, "max_iters must be at most 9223372036854775807"),
+    ("run", {"pso": {"patience": sys.maxsize + 1}}, "patience must be at most 9223372036854775807"),
+    ("run", "objective: {name: sphere, dims: 1}\npso: {population: 1" + "0" * 5000 + "}\n",
+     "cannot read config: Exceeds the limit (4300 digits)"),
+    ("compare", {"experiment": _experiment({"kind": "random_search"},
+                                           {"kind": "grid_search", "points_per_dim": 10**12})},
+     "grid of 1000000000000 points exceeds cap 1000000"),
     ("run", {"objective": {"name": "nosuch", "dims": 1}}, "unknown objective 'nosuch'"),
     ("run", {"objective": {**SPHERE_1D, "dims": 0}}, "dims must be at least 1"),
     ("compare", {"experiment": _experiment({"kind": "random_search"}, {"kind": "nosuch"})},
      "unknown method kind 'nosuch'"),
     ("compare", {"experiment": _experiment({"kind": "random_search"},
                                            {"kind": "grid_search", "points_per_dim": 1})},
-     "grid_search needs points_per_dim >= 2"),
+     "points_per_dim must be at least 2, got 1"),
     ("run", {"pso": {"population": 1}}, "population must be at least 2"),
     ("run", {"pso": {"max_iters": 0}}, "max_iters must be at least 1"),
     ("run", {"pso": {"vmax_fraction": 0}}, "vmax_fraction must be in (0, 1]"),
@@ -602,7 +621,10 @@ _TWO_DIMS = [{"name": "a", "type": "real", "lower": 0.0, "upper": 1.0},
         "negative-tol", "zero-patience", "inf-space-upper", "huge-int-space-upper",
         "overflowing-space-range", "huge-int-gamma", "huge-int-gp-bound",
         "grid-size-past-int64", "huge-int-population", "huge-int-dims",
-        "huge-int-points-per-dim", "unknown-objective", "zero-dims", "unknown-method-kind",
+        "huge-int-points-per-dim", "iterations-past-maxsize", "init-count-past-maxsize",
+        "budget-past-maxsize", "restarts-past-maxsize", "max-steps-past-maxsize",
+        "max-iters-past-maxsize", "patience-past-maxsize", "5001-digit-population",
+        "trillion-points-per-dim", "unknown-objective", "zero-dims", "unknown-method-kind",
         "one-point-per-dim", "one-particle", "zero-max-iters", "zero-vmax-fraction",
         "float-space-type", "scalar-pso", "invalid-yaml", "compare-without-experiment",
         "compare-one-seed"])
