@@ -13,7 +13,7 @@ import itertools
 import json
 import logging
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -164,13 +164,16 @@ class MethodSpec:
     points_per_dim: int = 10  # GRID_SEARCH
 
     def __post_init__(self):
-        if self.kind not in (PSO_BO, LOCAL_BO, RANDOM_SEARCH, GRID_SEARCH):
+        reads = {PSO_BO: ("pso",), LOCAL_BO: ("restarts", "max_steps"), RANDOM_SEARCH: (),
+                 GRID_SEARCH: ("points_per_dim",)}.get(self.kind)
+        if reads is None:
             raise ConfigError(f"unknown method kind {self.kind!r}")
-        if self.kind == LOCAL_BO:
-            check_size("restarts", self.restarts, 1)
-            check_size("max_steps", self.max_steps, 0)
-        if self.kind == GRID_SEARCH:
-            check_size("points_per_dim", self.points_per_dim, 2)
+        for f in fields(self)[1:]:  # a field the kind never reads would be ignored
+            if f.name not in reads and getattr(self, f.name) != f.default:
+                raise ConfigError(f"{f.name} does not apply to a {self.kind} method")
+        check_size("restarts", self.restarts, 1)
+        check_size("max_steps", self.max_steps, 0)
+        check_size("points_per_dim", self.points_per_dim, 2)
 
 
 def local_ascent(space: SearchSpace, surface, rng: np.random.Generator,

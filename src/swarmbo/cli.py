@@ -203,7 +203,7 @@ def cmd_run(args) -> int:
 def cmd_compare(args) -> int:
     sections = build_config(args.config)
     section = sections.get("experiment")
-    if not section:
+    if section is None:
         raise ConfigError("config: missing required section 'experiment'")
     methods = section.get("methods", [])
     if len(methods) < 2:

@@ -155,19 +155,13 @@ class KernelParams:
             raise InvalidParamsError("noise_var must be non-negative and finite")
 
 
-def _kernel(A: np.ndarray, B: np.ndarray, theta0, ells: np.ndarray) -> np.ndarray:
-    """Matern-5/2 matrices k(A, B), with the ARD squared distance
-    sum((a_j - b_j)^2 / l_j^2), for a batch of kernels: theta0 of shape (...) and
-    ells of shape (..., d) give shape (..., len(A), len(B)). Each kernel equals the
-    one computed alone, bit for bit."""
-    ells = np.asarray(ells)[..., None, :]
-    return _matern(A / ells, B / ells, theta0)
-
-
 def _matern(As: np.ndarray, Bs: np.ndarray, theta0) -> np.ndarray:
-    """`_kernel` on inputs already divided by their lengthscales. The squared
-    differences are summed one dimension at a time, in order (a last-axis sum
-    differs in the last bits from d=8 on)."""
+    """Matern-5/2 matrices k(A, B) on inputs already divided by their ARD
+    lengthscales, so the squared distance is sum((a_j - b_j)^2 / l_j^2), for a
+    batch of kernels: As of shape (..., n, d), Bs of shape (..., m, d) and theta0
+    of shape (...) give shape (..., n, m). Each kernel equals the one computed
+    alone, bit for bit. The squared differences are summed one dimension at a
+    time, in order (a last-axis sum differs in the last bits from d=8 on)."""
     r2 = (As[..., :, 0, None] - Bs[..., None, :, 0]) ** 2
     for j in range(1, As.shape[-1]):
         r2 += (As[..., :, j, None] - Bs[..., None, :, j]) ** 2
@@ -185,7 +179,8 @@ def gram_matrix(xs: np.ndarray, params: KernelParams) -> np.ndarray:
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     if xs.shape[-1] != len(params.lengthscales):
         raise DimensionMismatchError(len(params.lengthscales), xs.shape[-1])
-    return _kernel(xs, xs, params.theta0, params.lengthscales)
+    s = xs / params.lengthscales
+    return _matern(s, s, params.theta0)
 
 
 @dataclass(frozen=True)
@@ -251,12 +246,6 @@ def _cholesky(K: np.ndarray, y: np.ndarray, theta0: float, eye: np.ndarray):
     raise FactorizationFailureError(f"Cholesky failed up to jitter {jitter:g}")
 
 
-def _factorize(X: np.ndarray, y: np.ndarray, params: KernelParams):
-    """(L, alpha, jitter) with L L^T = K + (noise + jitter)*I and alpha = (L L^T)^-1 y."""
-    eye = np.eye(len(y))
-    return _cholesky(gram_matrix(X, params) + params.noise_var * eye, y, params.theta0, eye)
-
-
 def _lml(y: np.ndarray, L: np.ndarray, alpha: np.ndarray) -> float:
     """Zero-mean Gaussian log marginal likelihood of y given its factorization."""
     return float(-0.5 * y @ alpha - np.log(L.diagonal()).sum() - 0.5 * len(y) * np.log(2.0 * np.pi))
@@ -265,7 +254,8 @@ def _lml(y: np.ndarray, L: np.ndarray, alpha: np.ndarray) -> float:
 def fit_model(space: SearchSpace, xs, ys, params: KernelParams) -> GpModel:
     """Factorize K + noise*I (plus escalating jitter) and precompute alpha."""
     X, y, y_mean, y_std = _standardize(space, xs, ys)
-    L, alpha, jitter = _factorize(X, y, params)
+    eye = np.eye(len(y))
+    L, alpha, jitter = _cholesky(gram_matrix(X, params) + params.noise_var * eye, y, params.theta0, eye)
     return GpModel(space=space, train_x=X, train_y=y, params=params,
                    chol=L, alpha=alpha, jitter=jitter, y_mean=y_mean, y_std=y_std)
 
@@ -340,7 +330,8 @@ def fit_hyperparams(space: SearchSpace, xs, ys, rng: np.random.Generator,
 
     def lml(Z: np.ndarray) -> np.ndarray:
         theta0, ells, nv = unpack(Z)
-        K = _kernel(X, X, theta0, ells) + nv[:, None, None] * eye
+        S = X / ells[:, None, :]
+        K = _matern(S, S, theta0) + nv[:, None, None] * eye
         out = np.full(len(Z), -np.inf)
         for i in range(len(Z)):
             try:

@@ -105,6 +105,17 @@ def test_local_ascent_checks_its_sizes(kwargs):
         local_ascent(SPACE_1D, lambda X: np.zeros(len(X)), np.random.default_rng(0), **kwargs)
 
 
+@pytest.mark.parametrize("kind, key, value", [
+    (RANDOM_SEARCH, "pso", PsoParams()), (RANDOM_SEARCH, "restarts", 5),
+    (PSO_BO, "max_steps", -3), (PSO_BO, "points_per_dim", 1), (LOCAL_BO, "pso", PsoParams()),
+    (LOCAL_BO, "points_per_dim", 3), (GRID_SEARCH, "restarts", sys.maxsize + 1)])
+def test_method_key_its_kind_never_reads_is_a_config_error(kind, key, value):
+    # only a key the kind reads may leave its default; the message names the key, not the value
+    MethodSpec(kind, **{key: getattr(MethodSpec(kind), key)})
+    with pytest.raises(ConfigError, match=f"^{key} does not apply to a {kind} method$"):
+        MethodSpec(kind, **{key: value})
+
+
 class TestObjectives:
     def test_noisy_objective_needs_an_rng(self):
         spec = ObjectiveSpec("sphere", dims=1, noise_std=0.1)

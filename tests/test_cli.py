@@ -603,6 +603,17 @@ _TWO_DIMS = [{"name": "a", "type": "real", "lower": 0.0, "upper": 1.0},
     ("compare", {"experiment": {**_experiment({"kind": "random_search"}, {"kind": "pso_bo"}),
                                 "seeds": [0]}},
      "experiment.seeds: need at least two seeds"),
+    ("compare", {"experiment": {}}, "experiment.methods: compare needs at least two methods"),
+    # a key that the method's kind never reads would be ignored
+    ("compare", {"experiment": _experiment({"kind": "random_search", "restarts": -5,
+                                            "pso": {"omega": 0.3}}, {"kind": "pso_bo"})},
+     "pso does not apply to a random_search method"),
+    ("compare", {"experiment": _experiment({"kind": "pso_bo", "points_per_dim": 1, "max_steps": -3},
+                                           {"kind": "random_search"})},
+     "max_steps does not apply to a pso_bo method"),
+    ("compare", {"experiment": _experiment({"kind": "local_bo", "pso": {"population": 3}},
+                                           {"kind": "random_search"})},
+     "pso does not apply to a local_bo method"),
 ], ids=["inverted-gp-bound", "one-element-gp-bound", "scalar-gp-bound", "unstable-method-pso",
         "grid-over-cap-after-pso_bo", "inverted-space-dim", "negative-noise-var",
         "string-omega", "bool-c1", "string-population", "float-max-iters", "string-gamma",
@@ -627,7 +638,8 @@ _TWO_DIMS = [{"name": "a", "type": "real", "lower": 0.0, "upper": 1.0},
         "trillion-points-per-dim", "unknown-objective", "zero-dims", "unknown-method-kind",
         "one-point-per-dim", "one-particle", "zero-max-iters", "zero-vmax-fraction",
         "float-space-type", "scalar-pso", "invalid-yaml", "compare-without-experiment",
-        "compare-one-seed"])
+        "compare-one-seed", "compare-empty-experiment", "random-search-pso",
+        "pso-bo-points-per-dim", "local-bo-pso"])
 def test_config_error_exits_2_before_any_evaluation(tmp_path, capsys, caplog, monkeypatch,
                                                      command, raw, cause):
     calls = _count_evaluations(monkeypatch)

@@ -248,7 +248,8 @@ class TestFitAndPredict:
         model = fit_model(space, rng.uniform([-5, 0], [10, 15], (20, 2)), rng.normal(size=20), params)
         for n in (1, 2, 7, 40):
             x = rng.uniform([-5, 0], [10, 15], (n, 2))
-            k = gp._kernel(model.train_x, gp._normalize(space, x), params.theta0, params.lengthscales)
+            ells = params.lengthscales
+            k = gp._matern(model.train_x / ells, gp._normalize(space, x) / ells, params.theta0)
             v = solve_triangular(model.chol, k, lower=True)
             var = np.maximum(params.theta0 - np.sum(v * v, axis=0), 0.0) * model.y_std**2
             mean = (k.T @ model.alpha) * model.y_std + model.y_mean
@@ -266,10 +267,11 @@ class TestFitAndPredict:
 
 
 def unscaled_predict(model, X):
-    """predict's batch path through `_kernel` on the unit-cube training inputs, as
-    it was before the model cached them divided by the lengthscales."""
+    """predict's batch path on the unit-cube training inputs divided by the
+    lengthscales on each call, as it was before the model cached them so."""
     X = (np.asarray(X, dtype=float) - model.space.lower) / model.space.ranges
-    k = gp._kernel(model.train_x, X, model.params.theta0, model.params.lengthscales)
+    ells = model.params.lengthscales
+    k = gp._matern(model.train_x / ells, X / ells, model.params.theta0)
     v = gp._trtrs(model.chol, k, lower=1)[0]
     var = np.maximum(model.params.theta0 - np.sum(v * v, axis=0), 0.0)
     return k.T @ model.alpha * model.y_std + model.y_mean, var * model.y_std**2
@@ -277,7 +279,8 @@ def unscaled_predict(model, X):
 
 class TestPredictScaledInputs:
     """predict reads the training inputs the model caches divided by its
-    lengthscales; every row equals the `_kernel(model.train_x, ...)` path bit for bit."""
+    lengthscales; every row equals the `_matern(model.train_x / ells, ...)` path bit
+    for bit."""
 
     @pytest.mark.parametrize("d", [1, 2, 8, 9])
     def test_equals_kernel_path(self, d):
@@ -504,7 +507,7 @@ class TestHyperparamScorer:
                         np.random.default_rng(0))
         assert calls == []
 
-    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 9])
     @pytest.mark.parametrize("noise_var", [None, 1e-3], ids=["fitted-noise", "pinned-noise"])
     def test_rows_equal_fit_model_lml_per_dimension(self, monkeypatch, d, noise_var):
         rng = np.random.default_rng(20 + d)
