@@ -7,18 +7,21 @@ evaluations (budget parity is asserted in the report).
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import itertools
 import json
 import logging
 import math
+import os
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .boloop import BoConfig, BoResult, component_rng, observe, run_bo
+from . import gp
+from .boloop import BoConfig, BoResult, component_rng, observe, propose_in, run_bo
 from .pso import PsoParams
 from .space import (
     ConfigError,
@@ -366,9 +369,61 @@ def run_method_cell(method: MethodSpec, objective_spec: ObjectiveSpec,
     return replace(result, n_evaluations=objective.count)
 
 
+# cell threads of one pooled experiment, at most: one per cell, so that every
+# cell keeps a proposal queued, without a thread per cell of a huge experiment
+CELL_THREADS = 32
+
+
+def pool_size(jobs: int, cells: int) -> int:
+    """Worker processes for `cells` cells at `jobs`: no more than the CPUs this
+    process may run on, nor than the cells."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None
+    return min(jobs, cpus or os.cpu_count() or 1, cells)
+
+
+def _start_worker(started):
+    """A pool worker's set-up: scipy's OpenBLAS on one thread (the worker is the
+    library's own process), then wait until every worker is forked."""
+    functions = gp._blas_thread_functions()
+    if functions is not None:
+        functions[1](1)
+    started.wait()
+
+
+@contextlib.contextmanager
+def _cell_futures(jobs: int, cells, objective_spec, config, budget):
+    """Start every (method, seed) cell of `cells` and yield an iterator over their
+    futures, in order; or yield None, and run nothing, where the pool would have
+    one worker (see pool_size) or the platform cannot fork. Each cell runs
+    run_method_cell on a thread of its own (at most CELL_THREADS), whose BO steps
+    propose in a pool of forked workers; both pools are shut down on exit.
+
+    Every worker is forked before the first cell thread starts (forking a
+    threaded process can copy a held lock): a Python that forks workers on
+    demand forks one per task that no worker is free for, and no worker is free
+    before all of them have reached the barrier.
+    """
+    workers = pool_size(jobs, len(cells)) if hasattr(os, "fork") else 1
+    if workers < 2:
+        yield None
+        return
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+
+    context = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(workers, context, initializer=_start_worker,
+                             initargs=(context.Barrier(workers),)) as pool:
+        for task in [pool.submit(int) for _ in range(workers)]:
+            task.result()  # a worker that failed to start breaks the pool here
+        with ThreadPoolExecutor(min(len(cells), CELL_THREADS), initializer=propose_in,
+                                initargs=(pool,)) as threads:
+            yield iter([threads.submit(run_method_cell, m, objective_spec, config, seed, budget)
+                        for m, seed in cells])
+
+
 def run_experiment(methods: list[MethodSpec], objective_spec: ObjectiveSpec,
                    seeds: list[int], budget: int,
-                   config: BoConfig | None = None) -> ExperimentReport:
+                   config: BoConfig | None = None, jobs: int = 1) -> ExperimentReport:
     """Run every method on every seed with identical budgets and aggregate.
 
     `config` holds the shared BO settings (default: the defaults over the
@@ -378,8 +433,14 @@ def run_experiment(methods: list[MethodSpec], objective_spec: ObjectiveSpec,
     method, in order, holding the BoResult of each finished cell by seed. A
     failed (method, seed) cell is logged and its seed listed as missing, never
     silently averaged; a method that fails on every seed raises its first
-    error once every cell has run. Cells run one after another, in method then
-    seed order.
+    error once every cell has run.
+
+    At `jobs` 1, or where the pool would have one worker (see pool_size) or
+    the platform cannot fork, cells run one after another, in method then seed
+    order. Otherwise each cell runs on a thread of its own, and each BO step's
+    proposal (propose_next) in a forked worker process; every objective call
+    stays on the cell's thread in this process. The report is the same for
+    any `jobs`, and failures are logged in method then seed order.
     """
     if not methods:
         raise ConfigError("need at least one method (a sweep: at least one omega)")
@@ -399,19 +460,24 @@ def run_experiment(methods: list[MethodSpec], objective_spec: ObjectiveSpec,
     for m in methods:
         if m.kind == GRID_SEARCH:
             grid_points(config.space, m.points_per_dim)  # raises here if over GRID_CAP
+    check_size("jobs", jobs, 1)
     reports, errors = [], []
-    for i, m in enumerate(methods):
-        cells, failed = {}, {}
-        for seed in seeds:
-            try:
-                cells[seed] = run_method_cell(m, objective_spec, config, seed, budget)
-            except Exception as exc:
-                omega = "" if m.pso is None else f", omega={m.pso.omega!r}"
-                log.warning("cell (method %d: %s%s, seed=%d) failed: %s", i, m.kind, omega, seed, exc)
-                failed[seed] = exc
-        if not cells:
-            errors.append(failed[seeds[0]])
-        reports.append(MethodReport(m.kind, dict(sorted(cells.items())), sorted(failed)))
+    pairs = [(m, seed) for m in methods for seed in seeds]
+    with _cell_futures(jobs, pairs, objective_spec, config, budget) as futures:
+        for i, m in enumerate(methods):
+            cells, failed = {}, {}
+            for seed in seeds:
+                try:
+                    cells[seed] = (run_method_cell(m, objective_spec, config, seed, budget)
+                                   if futures is None else next(futures).result())
+                except Exception as exc:
+                    omega = "" if m.pso is None else f", omega={m.pso.omega!r}"
+                    log.warning("cell (method %d: %s%s, seed=%d) failed: %s",
+                                i, m.kind, omega, seed, exc)
+                    failed[seed] = exc
+            if not cells:
+                errors.append(failed[seeds[0]])
+            reports.append(MethodReport(m.kind, dict(sorted(cells.items())), sorted(failed)))
     if errors:
         raise errors[0]
     report = ExperimentReport(objective=objective_spec, seeds=sorted(seeds),

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+import threading
 import zlib
 from dataclasses import dataclass
 
@@ -21,6 +22,8 @@ from .space import ConfigError, SearchSpace, check_finite, check_size, materiali
 
 log = logging.getLogger(__name__)
 
+_proposals = threading.local()  # .pool: the process pool that runs this thread's proposals
+
 INIT = "init"
 BO = "bo"
 
@@ -29,6 +32,10 @@ class ObjectiveFailureError(Exception):
     def __init__(self, index, cause):
         super().__init__(f"objective evaluation {index} failed: {cause}")
         self.index = index
+        self._cause = str(cause)  # text pickles, the cause itself may not
+
+    def __reduce__(self):  # rebuilt from its arguments, so it crosses a process pool
+        return type(self), (self.index, self._cause)
 
 
 def component_rng(seed: int, tag: str) -> np.random.Generator:
@@ -141,13 +148,32 @@ def propose_next(config: BoConfig, history: list[Observation], t: int,
     return result.best_position, model.params
 
 
+def _propose(config, history, t, maximizer, start):
+    """propose_next as a pool worker runs it: a module-level function pickles by
+    name, and the worker calls its own module's propose_next."""
+    return propose_next(config, history, t, maximizer=maximizer, start=start)
+
+
+def propose_in(pool):
+    """Run the proposals of this thread's BO steps in `pool`, a process pool, or
+    in the thread itself if None (the default)."""
+    _proposals.pool = pool
+
+
 def bo_step(history: list[Observation], config: BoConfig, objective, t: int,
             maximizer=None, start: gp.KernelParams | None = None,
             ) -> gp.KernelParams | None:
     """One surrogate refresh + acquisition maximization + observation, appended
     to `history`. Returns the kernel params to warm-start the next step's fit.
+
+    The proposal runs in the thread's process pool if it has one (see
+    propose_in); the objective is always called in this thread.
     """
-    x_next, params = propose_next(config, history, t, maximizer=maximizer, start=start)
+    pool = getattr(_proposals, "pool", None)
+    if pool is None:
+        x_next, params = propose_next(config, history, t, maximizer=maximizer, start=start)
+    else:  # a pure function of its arguments: every stream is keyed by seed and step
+        x_next, params = pool.submit(_propose, config, history, t, maximizer, start).result()
     history.append(observe(config.space, objective, x_next, len(history), t, BO))
     return params
 

@@ -217,7 +217,8 @@ def cmd_compare(args) -> int:
         if m.kind in [n.kind for n in methods[:i]]:
             raise ConfigError(f"method kind {m.kind!r} is listed twice (outputs are named by kind)")
 
-    report = bench.run_experiment(methods, sections["objective"], seeds, budget, config=config)
+    report = bench.run_experiment(methods, sections["objective"], seeds, budget, config=config,
+                                  jobs=args.jobs)
 
     out = _output_dir(args, sections)
     bench.write_report_json(report, out / "report.json")
@@ -238,7 +239,8 @@ def cmd_sweep(args) -> int:
     budget = section.get("budget", 35)
     config = _parse_bo_config(sections)
     methods = [bench.MethodSpec(bench.PSO_BO, pso=replace(config.pso, omega=w)) for w in omegas]
-    report = bench.run_experiment(methods, sections["objective"], seeds, budget, config=config)
+    report = bench.run_experiment(methods, sections["objective"], seeds, budget, config=config,
+                                  jobs=args.jobs)
     failed = [(m.pso.omega, s) for m, r in zip(methods, report.methods) for s in r.missing_seeds]
     if failed:
         raise RuntimeError(f"sweep cells (omega, seed) failed: {', '.join(map(str, failed))}")
@@ -276,9 +278,11 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to the YAML run config")
         p.add_argument("--output-dir", default=None, help="artifact directory")
-        p.add_argument("--jobs", type=_worker_count, default=None,
-                       help="worker count, at least 1; accepted for a process pool "
-                            "and without effect until then (cells run one by one)")
+        p.add_argument("--jobs", type=_worker_count, default=1,
+                       help="worker processes, at least 1 (default 1): compare and sweep "
+                            "fit and maximize each BO step in a pool of at most this many, "
+                            "capped at the usable CPUs; objective calls stay in this "
+                            "process, and outputs are the same for any value")
         if name == "run":  # compare and sweep take their seeds from the config
             p.add_argument("--seed", type=int, default=None, help="root seed override")
         p.set_defaults(fn=fn)

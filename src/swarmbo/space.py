@@ -44,6 +44,9 @@ class DimensionMismatchError(ValueError):
         self.expected = expected
         self.got = got
 
+    def __reduce__(self):  # rebuilt from its arguments, so it crosses a process pool
+        return type(self), (self.expected, self.got)
+
 
 @dataclass(frozen=True)
 class Dimension:

@@ -1,4 +1,7 @@
 import json
+import multiprocessing
+import os
+import pickle
 import sys
 from dataclasses import asdict
 
@@ -6,7 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
-from swarmbo import bench
+from swarmbo import bench, boloop
 from swarmbo.acquisition import EI, PI, UCB, AcquisitionSpec, evaluate
 from swarmbo.bench import (
     GRID_SEARCH,
@@ -56,6 +59,8 @@ SIZES = {
     "max_steps": lambda n: MethodSpec(LOCAL_BO, max_steps=n),
     "budget": lambda n: run_experiment([MethodSpec(RANDOM_SEARCH)], ObjectiveSpec("sphere", dims=1),
                                        [0], n),
+    "jobs": lambda n: run_experiment([MethodSpec(RANDOM_SEARCH)], ObjectiveSpec("sphere", dims=1),
+                                     [0], 1, jobs=n),  # one cell: no pool at any count
 }
 
 
@@ -747,6 +752,66 @@ class TestRunExperiment:
         assert [r["method"] for r in rows] == [m.kind for m in report.methods]
         for row, m in zip(rows, report.methods):
             assert row["max"] == m.max and row["min"] == m.min and row["ave"] == m.ave
+
+
+PROPOSAL_ERRORS = [DimensionMismatchError(2, 3), ObjectiveFailureError(4, ValueError("boom"))]
+
+
+class TestProcessPool:
+    """run_experiment at jobs > 1: each BO step's proposal runs in a forked worker."""
+
+    def test_pool_size_is_bounded(self):
+        cpus = len(os.sched_getaffinity(0))
+        assert bench.pool_size(10**9, 10**9) == cpus
+        assert bench.pool_size(10**9, 3) == min(cpus, 3)
+        assert bench.pool_size(1, 10**9) == 1
+        assert multiprocessing.active_children() == []  # a pure function starts nothing
+
+    def test_more_cells_than_threads_match_serial_cells(self, monkeypatch):
+        # threads take the cells beyond the cap in turn; a short switch interval
+        # interleaves the cell threads and the pool's own threads more often
+        monkeypatch.setattr(bench, "CELL_THREADS", 2)
+        spec = ObjectiveSpec("sphere", dims=1, negate=True)
+        methods = [*sweep_methods([0.3, 0.6, 0.9]), MethodSpec(RANDOM_SEARCH)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            reports = [run_experiment(methods, spec, [0, 1], budget=8, jobs=jobs) for jobs in (1, 3)]
+        finally:
+            sys.setswitchinterval(interval)
+        serial, pooled = ([as_json(c) for m in r.methods for c in m.cells.values()] for r in reports)
+        assert pooled == serial and len(serial) == 8
+
+    @pytest.mark.parametrize("error", PROPOSAL_ERRORS, ids=type)
+    def test_error_survives_a_pickle_round_trip(self, error):
+        # a worker's error reaches the cell's thread pickled; one that fails to
+        # unpickle breaks the pool, and every cell with it
+        back = pickle.loads(pickle.dumps(error))
+        assert type(back) is type(error)
+        assert str(back) == str(error) and vars(back) == vars(error)
+
+    @pytest.mark.parametrize("error", PROPOSAL_ERRORS, ids=type)
+    def test_failing_proposal_fails_only_its_cell(self, monkeypatch, caplog, error):
+        real = boloop.propose_next
+
+        def propose_next(config, *args, **kwargs):
+            if config.seed == 1:
+                raise error
+            return real(config, *args, **kwargs)
+
+        monkeypatch.setattr(boloop, "propose_next", propose_next)
+        spec = ObjectiveSpec("sphere", dims=1, negate=True)
+        outcomes = []
+        for jobs in (1, 2):
+            caplog.clear()
+            report = run_experiment([MethodSpec(PSO_BO), MethodSpec(RANDOM_SEARCH)], spec,
+                                    [0, 1, 2], budget=8, jobs=jobs)
+            outcomes.append(([m.missing_seeds for m in report.methods],
+                             [as_json(c) for m in report.methods for c in m.cells.values()],
+                             [r.getMessage() for r in caplog.records if r.name == bench.__name__]))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == [[1], []]
+        assert outcomes[0][2] == [f"cell (method 0: pso_bo, seed=1) failed: {error}"]
 
 
 class TestOmegaSweep:

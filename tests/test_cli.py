@@ -1,6 +1,9 @@
 import json
+import multiprocessing
+import os
 import sys
 import threading
+import time
 import types
 import typing
 from dataclasses import fields, is_dataclass
@@ -791,17 +794,84 @@ def test_ucb_run_leaves_scipy_linalg_out(tmp_path, run_config):
     assert load_result(tmp_path / "o")["n_evaluations"] == 6
 
 
-@pytest.mark.parametrize("command, jobs", [("compare", "4"), ("sweep", "3")])
+@pytest.mark.parametrize("command, jobs", [("compare", "1"), ("sweep", "1"),
+                                           ("compare", "4"), ("sweep", "3")])
 def test_cells_run_on_the_calling_thread(tmp_path, compare_config, monkeypatch, command, jobs):
-    # --jobs is accepted but starts no pool: every evaluation is on main's thread
-    threads = _record_objective_calls(monkeypatch, threading.get_ident)
+    # at --jobs 1 every evaluation is on main's thread; above it, only proposals
+    # leave the process, and every evaluation stays in it, on the cells' threads
+    calls = _record_objective_calls(monkeypatch, lambda: (os.getpid(), threading.get_ident()))
     sweep = {"omegas": [0.3, 0.6], "seeds": [0, 1], "budget": 8}
     cfg = compare_config if command == "compare" else write_config(
         tmp_path / "s.yaml", {"objective": dict(SPHERE_1D), "sweep": sweep})
     assert main([command, "--config", cfg, "--output-dir", str(tmp_path / "o"),
                  "--jobs", jobs]) == EXIT_OK
-    assert len(threads) == (3 if command == "compare" else 2) * 2 * 8
-    assert set(threads) == {threading.get_ident()}
+    assert len(calls) == (3 if command == "compare" else 2) * 2 * 8
+    assert {pid for pid, _ in calls} == {os.getpid()}
+    if jobs == "1":
+        assert {thread for _, thread in calls} == {threading.get_ident()}
+
+
+def test_cli_import_leaves_pool_modules_out():
+    # the pool's modules are imported by the first experiment that starts one
+    code = ("import sys, swarmbo.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith(('multiprocessing', 'concurrent'))))")
+    assert run_fresh_interpreter(code) == "[]"
+
+
+def _pool_starts(monkeypatch) -> list:
+    """A list that gains the worker count of every process pool started."""
+    import concurrent.futures
+
+    starts, real = [], concurrent.futures.ProcessPoolExecutor
+
+    def start(workers, *args, **kwargs):
+        starts.append(workers)
+        return real(workers, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", start)
+    return starts
+
+
+def test_run_and_one_cell_start_no_pool(tmp_path, run_config, monkeypatch):
+    starts = _pool_starts(monkeypatch)
+    assert main(["run", "--config", run_config, "--output-dir", str(tmp_path / "o"),
+                 "--jobs", "2"]) == EXIT_OK
+    spec = ObjectiveSpec(**SPHERE_1D)
+    run_experiment([MethodSpec(PSO_BO)], spec, [0], 8, jobs=2)
+    assert starts == []
+    run_experiment([MethodSpec(PSO_BO)], spec, [0, 1], 8, jobs=10**9)
+    assert starts == ([2] if bench.pool_size(2, 2) == 2 else [])
+
+
+@pytest.mark.skipif(bench.pool_size(2, 4) < 2, reason="one usable CPU: no pool")
+@pytest.mark.parametrize("fault", [None, "failed cell", "broken pool"])
+def test_sweep_leaves_no_child_process(tmp_path, monkeypatch, capsys, fault):
+    parent, real = os.getpid(), boloop.propose_next
+
+    def propose_next(config, *args, **kwargs):
+        assert os.getpid() != parent  # a worker runs every proposal
+        if config.seed == 1 and fault == "failed cell":
+            raise ValueError("surface broke")
+        if config.seed == 1 and fault == "broken pool":
+            os._exit(1)  # the worker dies
+        return real(config, *args, **kwargs)
+
+    monkeypatch.setattr(boloop, "propose_next", propose_next)
+    sweep = {"omegas": [0.3, 0.6], "seeds": [0, 1], "budget": 8}
+    cfg = write_config(tmp_path / "s.yaml", {"objective": dict(SPHERE_1D), "sweep": sweep})
+    start = time.perf_counter()
+    code = main(["sweep", "--config", cfg, "--output-dir", str(tmp_path / "o"), "--jobs", "2"])
+    assert time.perf_counter() - start < 30  # a broken pool fails every cell at once
+    assert multiprocessing.active_children() == []
+    assert code == (EXIT_OK if fault is None else EXIT_RUNTIME)
+    if fault == "broken pool":
+        # every cell failed, so the first cell's error is the command's
+        assert "runtime error: A process in the process pool was terminated abruptly" in \
+            capsys.readouterr().err
+
+
+def _worker_blas_threads():
+    return gp._blas_thread_functions()[0]()
 
 
 def _scipy_openblas():
@@ -854,6 +924,20 @@ class TestOneBlasThread:
         cfg = write_config(tmp_path / "c.yaml", {"objective": dict(SPHERE_1D), "bo": {"x": 1}})
         assert main(["run", "--config", cfg]) == EXIT_CONFIG
         assert "unknown key(s) ['x']" in capsys.readouterr().err
+        assert blas_threads() == self.PRIOR
+
+    @pytest.mark.skipif(bench.pool_size(2, 2) < 2, reason="one usable CPU: no pool")
+    def test_pool_worker_runs_one_blas_thread(self, monkeypatch, blas_threads):
+        # the library pins its own workers, whatever the caller's count
+        counts, real = [], bench.run_method_cell
+
+        def run_method_cell(*args):
+            counts.append(boloop._proposals.pool.submit(_worker_blas_threads).result())
+            return real(*args)
+
+        monkeypatch.setattr(bench, "run_method_cell", run_method_cell)
+        run_experiment([MethodSpec(PSO_BO)], ObjectiveSpec(**SPHERE_1D), [0, 1], 8, jobs=2)
+        assert counts == [1, 1]
         assert blas_threads() == self.PRIOR
 
     def test_without_the_symbols_nothing_changes(self, tmp_path, compare_config, monkeypatch,
