@@ -268,6 +268,11 @@ def local_ascent(space: SearchSpace, surface, rng: np.random.Generator,
     return np.array(x[best])
 
 
+def _local_ascent(*args, **kwargs):
+    """local_ascent as it is when called, under a name that pickles into a pool worker."""
+    return local_ascent(*args, **kwargs)
+
+
 def grid_points(space: SearchSpace, points_per_dim: int):
     """Lazy Cartesian lattice of at most GRID_CAP points, counted before any axis
     is built; an integer dim with at most `points_per_dim` integers takes exactly those."""
@@ -350,8 +355,8 @@ def run_method_cell(method: MethodSpec, objective_spec: ObjectiveSpec,
         config = replace(config, pso=method.pso or config.pso,
                          iterations=budget - config.init_count, seed=seed)
 
-        # the same BO loop, maximized by local ascent (read per cell: a patched one sees each call)
-        ascent = functools.partial(local_ascent, restarts=method.restarts, max_steps=method.max_steps)
+        # the same BO loop, maximized by local ascent
+        ascent = functools.partial(_local_ascent, restarts=method.restarts, max_steps=method.max_steps)
         result = run_bo(config, objective, maximizer=ascent if method.kind == LOCAL_BO else None)
     else:
         # a baseline scans its lattice in order, then uniform draws, truncated to
@@ -381,44 +386,39 @@ def pool_size(jobs: int, cells: int) -> int:
     return min(jobs, cpus or os.cpu_count() or 1, cells)
 
 
-def _start_worker(started):
-    """A pool worker's set-up: scipy's OpenBLAS on one thread (the worker is the
-    library's own process), then wait until every worker is forked."""
+def _start_worker():
+    """A pool worker's set-up: scipy's OpenBLAS on one thread (the worker is the library's)."""
     functions = gp._blas_thread_functions()
     if functions is not None:
         functions[1](1)
-    started.wait()
 
 
 @contextlib.contextmanager
-def _cell_futures(jobs: int, cells, objective_spec, config, budget):
-    """Start every (method, seed) cell of `cells` and yield an iterator over their
-    futures, in order; or yield None, and run nothing, where the pool would have
-    one worker (see pool_size) or the platform cannot fork. Each cell runs
-    run_method_cell on a thread of its own (at most CELL_THREADS), whose BO steps
-    propose in a pool of forked workers; both pools are shut down on exit.
+def _cell_results(jobs: int, cells, objective_spec, config, budget):
+    """Yield an iterator over one zero-argument callable per (method, seed) cell
+    of `cells`, in order, returning its run_method_cell result: run serially
+    where the cells that propose get one worker (see pool_size) or the platform
+    cannot fork, else started at once on threads (at most CELL_THREADS) whose BO
+    steps propose in a pool of forked workers. Both pools shut down on exit.
 
     Every worker is forked before the first cell thread starts (forking a
-    threaded process can copy a held lock): a Python that forks workers on
-    demand forks one per task that no worker is free for, and no worker is free
-    before all of them have reached the barrier.
+    threaded process can copy a held lock): a fork-context pool forks all its
+    workers in its first submit, before its manager thread (CPython gh-90622).
     """
-    workers = pool_size(jobs, len(cells)) if hasattr(os, "fork") else 1
-    if workers < 2:
-        yield None
+    workers = pool_size(jobs, sum(m.kind in (PSO_BO, LOCAL_BO) for m, _ in cells))
+    if workers < 2 or not hasattr(os, "fork"):  # a callable runs its cell when called
+        yield (functools.partial(run_method_cell, m, objective_spec, config, seed, budget)
+               for m, seed in cells)
         return
-    import multiprocessing
     from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+    from multiprocessing import get_context
 
-    context = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(workers, context, initializer=_start_worker,
-                             initargs=(context.Barrier(workers),)) as pool:
-        for task in [pool.submit(int) for _ in range(workers)]:
-            task.result()  # a worker that failed to start breaks the pool here
+    with ProcessPoolExecutor(workers, get_context("fork"), initializer=_start_worker) as pool:
+        pool.submit(int).result()  # forks every worker; a failed start breaks the pool here
         with ThreadPoolExecutor(min(len(cells), CELL_THREADS), initializer=propose_in,
                                 initargs=(pool,)) as threads:
-            yield iter([threads.submit(run_method_cell, m, objective_spec, config, seed, budget)
-                        for m, seed in cells])
+            yield iter([threads.submit(run_method_cell, m, objective_spec, config, seed,
+                                       budget).result for m, seed in cells])
 
 
 def run_experiment(methods: list[MethodSpec], objective_spec: ObjectiveSpec,
@@ -435,12 +435,12 @@ def run_experiment(methods: list[MethodSpec], objective_spec: ObjectiveSpec,
     silently averaged; a method that fails on every seed raises its first
     error once every cell has run.
 
-    At `jobs` 1, or where the pool would have one worker (see pool_size) or
-    the platform cannot fork, cells run one after another, in method then seed
-    order. Otherwise each cell runs on a thread of its own, and each BO step's
-    proposal (propose_next) in a forked worker process; every objective call
-    stays on the cell's thread in this process. The report is the same for
-    any `jobs`, and failures are logged in method then seed order.
+    At `jobs` 1, or where the pso_bo and local_bo cells would get one worker
+    (see pool_size), or without fork, cells run one after another, in method
+    then seed order. Otherwise each cell runs on a thread of its own, and each
+    BO step's proposal (propose_next) in a forked worker process; every
+    objective call stays on the cell's thread in this process. The report is
+    the same for any `jobs`, and failures are logged in method then seed order.
     """
     if not methods:
         raise ConfigError("need at least one method (a sweep: at least one omega)")
@@ -463,13 +463,12 @@ def run_experiment(methods: list[MethodSpec], objective_spec: ObjectiveSpec,
     check_size("jobs", jobs, 1)
     reports, errors = [], []
     pairs = [(m, seed) for m in methods for seed in seeds]
-    with _cell_futures(jobs, pairs, objective_spec, config, budget) as futures:
+    with _cell_results(jobs, pairs, objective_spec, config, budget) as results:
         for i, m in enumerate(methods):
             cells, failed = {}, {}
             for seed in seeds:
                 try:
-                    cells[seed] = (run_method_cell(m, objective_spec, config, seed, budget)
-                                   if futures is None else next(futures).result())
+                    cells[seed] = next(results)()
                 except Exception as exc:
                     omega = "" if m.pso is None else f", omega={m.pso.omega!r}"
                     log.warning("cell (method %d: %s%s, seed=%d) failed: %s",

@@ -280,9 +280,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output-dir", default=None, help="artifact directory")
         p.add_argument("--jobs", type=_worker_count, default=1,
                        help="worker processes, at least 1 (default 1): compare and sweep "
-                            "fit and maximize each BO step in a pool of at most this many, "
-                            "capped at the usable CPUs; objective calls stay in this "
-                            "process, and outputs are the same for any value")
+                            "fit and maximize each BO step in a pool of at most this many, capped "
+                            "at the usable CPUs and the pso_bo and local_bo cells; objective calls "
+                            "stay in this process, and outputs are the same for any value")
         if name == "run":  # compare and sweep take their seeds from the config
             p.add_argument("--seed", type=int, default=None, help="root seed override")
         p.set_defaults(fn=fn)

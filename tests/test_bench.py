@@ -782,6 +782,25 @@ class TestProcessPool:
         serial, pooled = ([as_json(c) for m in r.methods for c in m.cells.values()] for r in reports)
         assert pooled == serial and len(serial) == 8
 
+    def test_wrapped_local_ascent_crosses_the_pool(self, monkeypatch):
+        # a local wrapper cannot pickle by name; a local_bo step sends the
+        # module-level bench._local_ascent, which calls the wrapper in the worker
+        calls, real = [], bench.local_ascent
+
+        def wrapped(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(bench, "local_ascent", wrapped)
+        spec = ObjectiveSpec("sphere", dims=1, negate=True)
+        methods = [MethodSpec(PSO_BO), MethodSpec(LOCAL_BO, restarts=2, max_steps=10)]
+        serial = run_experiment(methods, spec, [0, 1], budget=8, jobs=1)
+        assert len(calls) == 2 * 3  # once per BO step of each local_bo cell
+        pooled = run_experiment(methods, spec, [0, 1], budget=8, jobs=2)
+        assert [m.missing_seeds for m in pooled.methods] == [[], []]
+        assert ([as_json(c) for m in pooled.methods for c in m.cells.values()]
+                == [as_json(c) for m in serial.methods for c in m.cells.values()])
+
     @pytest.mark.parametrize("error", PROPOSAL_ERRORS, ids=type)
     def test_error_survives_a_pickle_round_trip(self, error):
         # a worker's error reaches the cell's thread pickled; one that fails to

@@ -15,6 +15,7 @@ import yaml
 
 from swarmbo import bench, boloop, gp
 from swarmbo.bench import (
+    GRID_SEARCH,
     LOCAL_BO,
     MethodSpec,
     ObjectiveSpec,
@@ -838,9 +839,27 @@ def test_run_and_one_cell_start_no_pool(tmp_path, run_config, monkeypatch):
                  "--jobs", "2"]) == EXIT_OK
     spec = ObjectiveSpec(**SPHERE_1D)
     run_experiment([MethodSpec(PSO_BO)], spec, [0], 8, jobs=2)
+    # only pso_bo and local_bo cells propose, so only they size the pool
+    baselines = [MethodSpec(RANDOM_SEARCH), MethodSpec(GRID_SEARCH)]
+    run_experiment(baselines, spec, [0, 1], 8, jobs=2)
+    run_experiment([MethodSpec(PSO_BO), *baselines], spec, [0], 8, jobs=2)
     assert starts == []
     run_experiment([MethodSpec(PSO_BO)], spec, [0, 1], 8, jobs=10**9)
     assert starts == ([2] if bench.pool_size(2, 2) == 2 else [])
+
+
+@pytest.mark.skipif(bench.pool_size(2, 4) < 2, reason="one usable CPU: no pool")
+def test_every_worker_is_forked_before_any_cell_starts(monkeypatch):
+    # forking a process whose cell threads run could copy a lock one of them holds
+    counts, real = [], bench.run_method_cell
+
+    def run_method_cell(*args):
+        counts.append(len(multiprocessing.active_children()))
+        return real(*args)
+
+    monkeypatch.setattr(bench, "run_method_cell", run_method_cell)
+    run_experiment(sweep_methods([0.3, 0.6]), ObjectiveSpec(**SPHERE_1D), [0, 1], 8, jobs=2)
+    assert counts == [bench.pool_size(2, 4)] * 4
 
 
 @pytest.mark.skipif(bench.pool_size(2, 4) < 2, reason="one usable CPU: no pool")
