@@ -15,6 +15,7 @@ import json
 import logging
 import math
 import os
+import signal
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -386,13 +387,6 @@ def pool_size(jobs: int, cells: int) -> int:
     return min(jobs, cpus or os.cpu_count() or 1, cells)
 
 
-def _start_worker():
-    """A pool worker's set-up: scipy's OpenBLAS on one thread (the worker is the library's)."""
-    functions = gp._blas_thread_functions()
-    if functions is not None:
-        functions[1](1)
-
-
 @contextlib.contextmanager
 def _cell_results(jobs: int, cells, objective_spec, config, budget):
     """Yield an iterator over one zero-argument callable per (method, seed) cell
@@ -413,12 +407,27 @@ def _cell_results(jobs: int, cells, objective_spec, config, budget):
     from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
     from multiprocessing import get_context
 
-    with ProcessPoolExecutor(workers, get_context("fork"), initializer=_start_worker) as pool:
+    # a worker is the library's, so it runs on one BLAS thread (see gp.set_blas_threads)
+    with ProcessPoolExecutor(workers, get_context("fork"),
+                             initializer=functools.partial(gp.set_blas_threads, 1)) as pool:
         pool.submit(int).result()  # forks every worker; a failed start breaks the pool here
-        with ThreadPoolExecutor(min(len(cells), CELL_THREADS), initializer=propose_in,
-                                initargs=(pool,)) as threads:
+        threads = ThreadPoolExecutor(min(len(cells), CELL_THREADS), initializer=propose_in,
+                                     initargs=(pool,))
+        try:
             yield iter([threads.submit(run_method_cell, m, objective_spec, config, seed,
                                        budget).result for m, seed in cells])
+        finally:
+            # left early (an interrupt): start no queued cell or proposal, and wait
+            # only for the proposals the workers run; a running cell then fails at
+            # its next proposal. A second SIGINT waits until the workers are joined:
+            # one that cuts the join short marks the pool's manager thread as
+            # stopped (seen on CPython 3.11), and the process then hangs at exit.
+            threads.shutdown(wait=False, cancel_futures=True)
+            held = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+            try:
+                pool.shutdown(cancel_futures=True)
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, held)
 
 
 def run_experiment(methods: list[MethodSpec], objective_spec: ObjectiveSpec,

@@ -29,7 +29,7 @@ import yaml
 from . import bench
 from .acquisition import AcquisitionSpec
 from .boloop import BoConfig, run_bo
-from .gp import FitBounds, one_blas_thread
+from .gp import FitBounds, set_blas_threads
 from .pso import PsoParams
 from .space import ConfigError, Dimension, SearchSpace
 
@@ -178,8 +178,14 @@ def _metadata() -> dict:
 
 
 def _output_dir(args, sections) -> Path:
+    """The artifact directory, checked before the first evaluation and made after
+    the run: the nearest of it and its parents that exists must be a writable
+    directory."""
     out = Path(args.output_dir or sections.get("output_dir") or ".")
-    out.mkdir(parents=True, exist_ok=True)
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir() or not os.access(existing, os.W_OK | os.X_OK):
+        raise ConfigError(f"output directory {str(out)!r}: "
+                          f"{str(existing)!r} is not a writable directory")
     return out
 
 
@@ -187,9 +193,10 @@ def cmd_run(args) -> int:
     sections = build_config(args.config)
     seed = resolve_seed(args, sections)
     config = _parse_bo_config(sections, seed)
+    out = _output_dir(args, sections)
     result = run_bo(config, bench.make_objective(sections["objective"], seed))
 
-    out = _output_dir(args, sections)
+    out.mkdir(parents=True, exist_ok=True)
     payload = {**asdict(result), "seed": seed, "metadata": _metadata()}
     with open(out / "result.json", "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, default=np.ndarray.tolist)
@@ -216,11 +223,12 @@ def cmd_compare(args) -> int:
     for i, m in enumerate(methods):
         if m.kind in [n.kind for n in methods[:i]]:
             raise ConfigError(f"method kind {m.kind!r} is listed twice (outputs are named by kind)")
+    out = _output_dir(args, sections)
 
     report = bench.run_experiment(methods, sections["objective"], seeds, budget, config=config,
                                   jobs=args.jobs)
 
-    out = _output_dir(args, sections)
+    out.mkdir(parents=True, exist_ok=True)
     bench.write_report_json(report, out / "report.json")
     bench.write_report_csv(report, out / "report.csv")
     bench.write_experiment_traces(report, out)
@@ -239,6 +247,7 @@ def cmd_sweep(args) -> int:
     budget = section.get("budget", 35)
     config = _parse_bo_config(sections)
     methods = [bench.MethodSpec(bench.PSO_BO, pso=replace(config.pso, omega=w)) for w in omegas]
+    out = _output_dir(args, sections)
     report = bench.run_experiment(methods, sections["objective"], seeds, budget, config=config,
                                   jobs=args.jobs)
     failed = [(m.pso.omega, s) for m, r in zip(methods, report.methods) for s in r.missing_seeds]
@@ -248,7 +257,7 @@ def cmd_sweep(args) -> int:
     rows = [(m.pso.omega, sum(r.per_seed_best[s] for s in seeds) / len(seeds))
             for m, r in zip(methods, report.methods)]
 
-    out = _output_dir(args, sections)
+    out.mkdir(parents=True, exist_ok=True)
     with open(out / "sweep.csv", "w", encoding="utf-8", newline="") as fh:
         fh.write("omega,ave_best\n")
         for omega, ave in rows:
@@ -291,16 +300,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # the process is the CLI's own, so it may set the BLAS state of the run
+    before = set_blas_threads(1)
     try:
-        # the process is the CLI's own, so it may set the BLAS state of the run
-        with one_blas_thread():
-            return args.fn(args)
+        return args.fn(args)
     except ConfigError as exc:  # raised only by checks that run before the first evaluation
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    finally:
+        if before is not None:
+            set_blas_threads(before)
 
 
 if __name__ == "__main__":

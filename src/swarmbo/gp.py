@@ -8,7 +8,6 @@ variance.
 
 from __future__ import annotations
 
-import contextlib
 import os
 import sys
 from dataclasses import dataclass, field, fields
@@ -58,54 +57,32 @@ _flapack = _load_flapack()
 _potrf, _potrs, _trtrs = _flapack.dpotrf, _flapack.dpotrs, _flapack.dtrtrs
 
 
-def _lapack_library():
-    """scipy's LAPACK extension opened with ctypes, or None; the symbols of the
-    BLAS library it links resolve through it."""
+def set_blas_threads(n: int) -> int | None:
+    """Set the OpenBLAS behind scipy's LAPACK to `n` threads and return the count
+    before; None, changing nothing, without OpenBLAS or an openable library.
+
+    The GP's matrices have a few dozen rows. OpenBLAS still splits a
+    multi-column `trtrs` over two threads, and the second thread spins between
+    calls, which about doubles a run's CPU time and leaves its wall time as it
+    was. The factors and solves are the same bits on any thread count, so the
+    CLI and every pool worker run on one thread.
+    """
     import ctypes  # numpy has loaded it already; kept off gp's import path anyway
 
-    try:
-        return ctypes.CDLL(_flapack.__file__)
+    try:  # the symbols of the BLAS library the extension links resolve through it
+        lib = ctypes.CDLL(_flapack.__file__)
     except OSError:
         return None
-
-
-def _blas_thread_functions():
-    """(get, set) of the thread count of the OpenBLAS behind scipy's LAPACK, or
-    None when that BLAS is not OpenBLAS."""
-    import ctypes
-
-    lib = _lapack_library()
     for prefix in ("scipy_openblas", "openblas"):  # scipy's wheels, a system OpenBLAS
         get = getattr(lib, f"{prefix}_get_num_threads", None)
         put = getattr(lib, f"{prefix}_set_num_threads", None)
         if get is not None and put is not None:
             get.argtypes, get.restype = [], ctypes.c_int
             put.argtypes, put.restype = [ctypes.c_int], None
-            return get, put
+            before = get()
+            put(n)
+            return before
     return None
-
-
-@contextlib.contextmanager
-def one_blas_thread():
-    """Run the block with scipy's OpenBLAS on one thread, then restore its count.
-
-    The GP's matrices have a few dozen rows. OpenBLAS still splits a
-    multi-column `trtrs` over two threads, and the second thread spins between
-    calls, which about doubles a run's CPU time and leaves its wall time as it
-    was. The factors and solves are the same bits on any thread count. A no-op
-    without OpenBLAS.
-    """
-    functions = _blas_thread_functions()
-    if functions is None:
-        yield
-        return
-    get, put = functions
-    before = get()
-    put(1)
-    try:
-        yield
-    finally:
-        put(before)
 
 
 class InvalidParamsError(ValueError):

@@ -1,12 +1,15 @@
+import ctypes
 import json
 import multiprocessing
 import os
+import signal
 import sys
 import threading
 import time
 import types
 import typing
 from dataclasses import fields, is_dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -722,6 +725,31 @@ def test_negative_seed_exits_2_before_any_evaluation(tmp_path, capsys, monkeypat
     assert not out.exists()
 
 
+@pytest.mark.parametrize("layout", ["file-in-path", "file", "read-only-parent"])
+@pytest.mark.parametrize("command", ["run", "compare", "sweep"])
+def test_unusable_output_dir_exits_2_before_any_evaluation(tmp_path, capsys, monkeypatch,
+                                                           command, layout):
+    # found before the run, not after it: the directory is still made only after the run
+    calls = _count_evaluations(monkeypatch)
+    cfg = write_config(tmp_path / "c.yaml", {
+        "objective": dict(SPHERE_1D), "bo": {"init_count": 3},
+        "experiment": _experiment({"kind": "pso_bo"}, {"kind": "random_search"}),
+        "sweep": {"omegas": [0.3, 0.6], "seeds": [0, 1], "budget": 8},
+    })
+    (tmp_path / "f").write_text("not a directory", encoding="utf-8")
+    (tmp_path / "ro").mkdir()
+    out = {"file-in-path": tmp_path / "f" / "o" / "p", "file": tmp_path / "f",
+           "read-only-parent": tmp_path / "ro" / "o"}[layout]
+    real_access = os.access
+    monkeypatch.setattr(os, "access", lambda path, mode: Path(path) != tmp_path / "ro"
+                        and real_access(path, mode))
+    before = sorted(tmp_path.rglob("*"))
+    assert main([command, "--config", cfg, "--output-dir", str(out)]) == EXIT_CONFIG
+    assert "is not a writable directory" in capsys.readouterr().err
+    assert calls == []
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 @pytest.mark.parametrize("command", ["compare", "sweep"])
 def test_seed_flag_is_run_only(tmp_path, capsys, command):
     # compare and sweep take their seeds from the config; a flag they ignore is a usage error
@@ -889,8 +917,43 @@ def test_sweep_leaves_no_child_process(tmp_path, monkeypatch, capsys, fault):
             capsys.readouterr().err
 
 
+@pytest.mark.skipif(bench.pool_size(2, 2) < 2, reason="one usable CPU: no pool")
+@pytest.mark.parametrize("second", [False, True], ids=["one-interrupt", "second-during-join"])
+def test_interrupt_stops_a_pooled_experiment(monkeypatch, second):
+    # an interrupt (a KeyboardInterrupt from a cell here, or SIGINT in the calling
+    # thread) starts no queued cell or proposal and leaves no worker behind, also
+    # when a second SIGINT comes while the pool joins its workers
+    methods, seeds = sweep_methods([0.1 * k for k in range(1, 10)]), list(range(6))
+    started, timers, real = [], [], bench.run_method_cell
+
+    def run_method_cell(method, objective_spec, config, seed, budget):
+        started.append((method, seed))
+        if (method, seed) == (methods[0], seeds[0]):
+            time.sleep(0.3)  # every cell thread is busy by now
+            if second:  # the calling thread is then waiting for the slow proposals
+                timers.append(threading.Timer(0.1, signal.pthread_kill,
+                                              (threading.main_thread().ident, signal.SIGINT)))
+                timers[0].start()
+            raise KeyboardInterrupt
+        return real(method, objective_spec, config, seed, budget)
+
+    monkeypatch.setattr(bench, "run_method_cell", run_method_cell)
+    if second:  # the forked workers inherit the patch
+        propose_next = boloop.propose_next
+        monkeypatch.setattr(boloop, "propose_next",
+                            lambda *args, **kwargs: time.sleep(0.3) or propose_next(*args, **kwargs))
+    start = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        run_experiment(methods, ObjectiveSpec("branin", negate=True), seeds, 35, jobs=2)
+    # the whole experiment takes several seconds at jobs=2 on 2 CPUs
+    assert time.perf_counter() - start < 3
+    assert len(started) <= bench.CELL_THREADS + 1 < len(methods) * len(seeds)
+    assert multiprocessing.active_children() == []
+    assert not any(timer.is_alive() for timer in timers)
+
+
 def _worker_blas_threads():
-    return gp._blas_thread_functions()[0]()
+    return gp.set_blas_threads(1)  # the count before: the worker's own, left as it was
 
 
 def _scipy_openblas():
@@ -907,7 +970,10 @@ class TestOneBlasThread:
 
     @pytest.fixture(autouse=True)
     def blas_threads(self):
-        get, put = gp._blas_thread_functions()
+        lib = ctypes.CDLL(gp._flapack.__file__)
+        get, put = lib.scipy_openblas_get_num_threads, lib.scipy_openblas_set_num_threads
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
         original = get()
         put(self.PRIOR)
         try:
@@ -964,9 +1030,18 @@ class TestOneBlasThread:
         pinned, unpinned = tmp_path / "pinned", tmp_path / "unpinned"
         argv = ["compare", "--config", compare_config, "--output-dir"]
         assert main([*argv, str(pinned)]) == EXIT_OK
-        monkeypatch.setattr(gp, "_lapack_library", lambda: types.SimpleNamespace())
-        assert gp._blas_thread_functions() is None
+        monkeypatch.setattr(ctypes, "CDLL", lambda path: types.SimpleNamespace())
+        assert gp.set_blas_threads(1) is None
+        assert blas_threads() == self.PRIOR
         counts = _record_objective_calls(monkeypatch, blas_threads)
         assert main([*argv, str(unpinned)]) == EXIT_OK
         assert set(counts) == {self.PRIOR}
         assert (pinned / "report.json").read_bytes() == (unpinned / "report.json").read_bytes()
+
+    def test_without_the_library_nothing_changes(self, monkeypatch, blas_threads):
+        def unopenable(path):
+            raise OSError(f"{path}: cannot open shared object file")
+
+        monkeypatch.setattr(ctypes, "CDLL", unopenable)
+        assert gp.set_blas_threads(1) is None
+        assert blas_threads() == self.PRIOR
