@@ -21,8 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import gp
-from .boloop import BoConfig, BoResult, component_rng, observe, propose_in, run_bo
+from . import boloop, gp
+from .boloop import BoConfig, BoResult, component_rng, observe, run_bo
 from .pso import PsoParams
 from .space import (
     ConfigError,
@@ -274,6 +274,12 @@ def _local_ascent(*args, **kwargs):
     return local_ascent(*args, **kwargs)
 
 
+def _propose(config, history, t, maximizer, start):
+    """boloop.propose_next as a pool worker runs it: a module-level function
+    pickles by name, and the worker calls its own copy of boloop's."""
+    return boloop.propose_next(config, history, t, maximizer=maximizer, start=start)
+
+
 def grid_points(space: SearchSpace, points_per_dim: int):
     """Lazy Cartesian lattice of at most GRID_CAP points, counted before any axis
     is built; an integer dim with at most `points_per_dim` integers takes exactly those."""
@@ -343,13 +349,13 @@ class _CountingObjective:
 
 
 def run_method_cell(method: MethodSpec, objective_spec: ObjectiveSpec,
-                    config: BoConfig, seed: int, budget: int) -> BoResult:
+                    config: BoConfig, seed: int, budget: int, pool=None) -> BoResult:
     """Run one (method, seed) cell with exactly `budget` objective evaluations.
 
     `config` is the template of the BO settings: a BO cell runs it with its own
-    `seed` and `iterations = budget - init_count`, and with `method.pso` if set.
-    The baselines use only its space. Every kind returns the BoResult of its
-    history; `n_evaluations` is the count of objective calls.
+    `seed` and `iterations = budget - init_count`, with `method.pso` if set, and
+    proposes in `pool`, a process pool, if given. The baselines use only its
+    space. Every kind returns its history's BoResult; `n_evaluations` counts calls.
     """
     objective = _CountingObjective(make_objective(objective_spec, seed))
     if method.kind in (PSO_BO, LOCAL_BO):
@@ -357,8 +363,14 @@ def run_method_cell(method: MethodSpec, objective_spec: ObjectiveSpec,
                          iterations=budget - config.init_count, seed=seed)
 
         # the same BO loop, maximized by local ascent
-        ascent = functools.partial(_local_ascent, restarts=method.restarts, max_steps=method.max_steps)
-        result = run_bo(config, objective, maximizer=ascent if method.kind == LOCAL_BO else None)
+        ascent = (functools.partial(_local_ascent, restarts=method.restarts, max_steps=method.max_steps)
+                  if method.kind == LOCAL_BO else None)
+        if pool is None:
+            propose = functools.partial(boloop.propose_next, maximizer=ascent)
+        else:  # a pure function of its arguments: every stream is keyed by seed and step
+            def propose(config, history, t, start):
+                return pool.submit(_propose, config, history, t, ascent, start).result()
+        result = run_bo(config, objective, propose=propose)
     else:
         # a baseline scans its lattice in order, then uniform draws, truncated to
         # the budget: grid search pads a small lattice, random search has no lattice
@@ -375,8 +387,8 @@ def run_method_cell(method: MethodSpec, objective_spec: ObjectiveSpec,
     return replace(result, n_evaluations=objective.count)
 
 
-# cell threads of one pooled experiment, at most: one per cell, so that every
-# cell keeps a proposal queued, without a thread per cell of a huge experiment
+# cell threads of one pooled experiment, at most: one per proposing cell, so that
+# every such cell keeps a proposal queued, without a thread each in a huge experiment
 CELL_THREADS = 32
 
 
@@ -390,19 +402,21 @@ def pool_size(jobs: int, cells: int) -> int:
 @contextlib.contextmanager
 def _cell_results(jobs: int, cells, objective_spec, config, budget):
     """Yield an iterator over one zero-argument callable per (method, seed) cell
-    of `cells`, in order, returning its run_method_cell result: run serially
-    where the cells that propose get one worker (see pool_size) or the platform
-    cannot fork, else started at once on threads (at most CELL_THREADS) whose BO
-    steps propose in a pool of forked workers. Both pools shut down on exit.
+    of `cells`, in order, returning its run_method_cell result, run on the calling
+    thread when called; where the proposing cells get two workers (see pool_size)
+    and the platform forks, pso_bo and local_bo cells start at once on threads (at
+    most CELL_THREADS) instead, and propose in a forked pool. Both pools shut down on exit.
 
     Every worker is forked before the first cell thread starts (forking a
     threaded process can copy a held lock): a fork-context pool forks all its
     workers in its first submit, before its manager thread (CPython gh-90622).
     """
-    workers = pool_size(jobs, sum(m.kind in (PSO_BO, LOCAL_BO) for m, _ in cells))
-    if workers < 2 or not hasattr(os, "fork"):  # a callable runs its cell when called
-        yield (functools.partial(run_method_cell, m, objective_spec, config, seed, budget)
-               for m, seed in cells)
+    proposes = [m.kind in (PSO_BO, LOCAL_BO) for m, _ in cells]
+    workers = pool_size(jobs, sum(proposes))
+    inline = [functools.partial(run_method_cell, m, objective_spec, config, seed, budget)
+              for m, seed in cells]  # a callable runs its cell when called
+    if workers < 2 or not hasattr(os, "fork"):
+        yield iter(inline)
         return
     from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
     from multiprocessing import get_context
@@ -411,15 +425,14 @@ def _cell_results(jobs: int, cells, objective_spec, config, budget):
     with ProcessPoolExecutor(workers, get_context("fork"),
                              initializer=functools.partial(gp.set_blas_threads, 1)) as pool:
         pool.submit(int).result()  # forks every worker; a failed start breaks the pool here
-        threads = ThreadPoolExecutor(min(len(cells), CELL_THREADS), initializer=propose_in,
-                                     initargs=(pool,))
+        threads = ThreadPoolExecutor(min(sum(proposes), CELL_THREADS))
         try:
-            yield iter([threads.submit(run_method_cell, m, objective_spec, config, seed,
-                                       budget).result for m, seed in cells])
+            yield iter([threads.submit(cell, pool=pool).result if p else cell
+                        for cell, p in zip(inline, proposes)])
         finally:
             # left early (an interrupt): start no queued cell or proposal, and wait
-            # only for the proposals the workers run; a running cell then fails at
-            # its next proposal. A second SIGINT waits until the workers are joined:
+            # only for the proposals the workers run; a running BO cell then fails
+            # at its next proposal. A second SIGINT waits until the workers are joined:
             # one that cuts the join short marks the pool's manager thread as
             # stopped (seen on CPython 3.11), and the process then hangs at exit.
             threads.shutdown(wait=False, cancel_futures=True)
@@ -446,10 +459,10 @@ def run_experiment(methods: list[MethodSpec], objective_spec: ObjectiveSpec,
 
     At `jobs` 1, or where the pso_bo and local_bo cells would get one worker
     (see pool_size), or without fork, cells run one after another, in method
-    then seed order. Otherwise each cell runs on a thread of its own, and each
-    BO step's proposal (propose_next) in a forked worker process; every
-    objective call stays on the cell's thread in this process. The report is
-    the same for any `jobs`, and failures are logged in method then seed order.
+    then seed order. Otherwise each pso_bo and local_bo cell runs on a thread of its
+    own and each BO step's proposal (propose_next) in a forked worker process, random
+    and grid search cells on the calling thread; every objective call stays in this
+    process. The report is the same for any `jobs`; failures log in method-seed order.
     """
     if not methods:
         raise ConfigError("need at least one method (a sweep: at least one omega)")

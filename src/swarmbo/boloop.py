@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import logging
-import threading
 import zlib
 from dataclasses import dataclass
 
@@ -21,8 +20,6 @@ from .pso import PsoParams, run_pso
 from .space import ConfigError, SearchSpace, check_finite, check_size, materialize, sample_uniform
 
 log = logging.getLogger(__name__)
-
-_proposals = threading.local()  # .pool: the process pool that runs this thread's proposals
 
 INIT = "init"
 BO = "bo"
@@ -148,38 +145,23 @@ def propose_next(config: BoConfig, history: list[Observation], t: int,
     return result.best_position, model.params
 
 
-def _propose(config, history, t, maximizer, start):
-    """propose_next as a pool worker runs it: a module-level function pickles by
-    name, and the worker calls its own module's propose_next."""
-    return propose_next(config, history, t, maximizer=maximizer, start=start)
-
-
-def propose_in(pool):
-    """Run the proposals of this thread's BO steps in `pool`, a process pool, or
-    in the thread itself if None (the default)."""
-    _proposals.pool = pool
-
-
 def bo_step(history: list[Observation], config: BoConfig, objective, t: int,
-            maximizer=None, start: gp.KernelParams | None = None,
+            propose=None, start: gp.KernelParams | None = None,
             ) -> gp.KernelParams | None:
     """One surrogate refresh + acquisition maximization + observation, appended
     to `history`. Returns the kernel params to warm-start the next step's fit.
 
-    The proposal runs in the thread's process pool if it has one (see
-    propose_in); the objective is always called in this thread.
+    `propose(config, history, t, start=start)` returns the point and the kernel
+    params (default: propose_next); the objective is always called here.
     """
-    pool = getattr(_proposals, "pool", None)
-    if pool is None:
-        x_next, params = propose_next(config, history, t, maximizer=maximizer, start=start)
-    else:  # a pure function of its arguments: every stream is keyed by seed and step
-        x_next, params = pool.submit(_propose, config, history, t, maximizer, start).result()
+    x_next, params = (propose or propose_next)(config, history, t, start=start)
     history.append(observe(config.space, objective, x_next, len(history), t, BO))
     return params
 
 
-def run_bo(config: BoConfig, objective, maximizer=None) -> BoResult:
-    """Initial design followed by `iterations` sequential BO steps.
+def run_bo(config: BoConfig, objective, propose=None) -> BoResult:
+    """Initial design followed by `iterations` sequential BO steps, each
+    proposed by `propose` (see bo_step).
 
     Each step's hyperparameter fit starts from the previous step's kernel
     params. They are carried here, per run, so a run's result does not depend
@@ -188,5 +170,5 @@ def run_bo(config: BoConfig, objective, maximizer=None) -> BoResult:
     history = init_design(config, objective, component_rng(config.seed, "init"))
     params = None
     for t in range(1, config.iterations + 1):
-        params = bo_step(history, config, objective, t, maximizer=maximizer, start=params)
+        params = bo_step(history, config, objective, t, propose=propose, start=params)
     return BoResult.from_history(history, config.init_count)

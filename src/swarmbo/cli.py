@@ -182,7 +182,11 @@ def _output_dir(args, sections) -> Path:
     the run: the nearest of it and its parents that exists must be a writable
     directory."""
     out = Path(args.output_dir or sections.get("output_dir") or ".")
-    existing = next(p for p in (out, *out.parents) if p.exists())
+    try:  # a name the OS rejects: too long, or a null byte, which exists() reads as absent
+        os.access(out, os.F_OK)
+        existing = next(p for p in (out, *out.parents) if p.exists())
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"output directory {str(out)!r}: {exc}") from None
     if not existing.is_dir() or not os.access(existing, os.W_OK | os.X_OK):
         raise ConfigError(f"output directory {str(out)!r}: "
                           f"{str(existing)!r} is not a writable directory")

@@ -725,27 +725,35 @@ def test_negative_seed_exits_2_before_any_evaluation(tmp_path, capsys, monkeypat
     assert not out.exists()
 
 
-@pytest.mark.parametrize("layout", ["file-in-path", "file", "read-only-parent"])
+@pytest.mark.parametrize("layout", ["file-in-path", "file", "read-only-parent",
+                                    "null-byte", "name-too-long"])
 @pytest.mark.parametrize("command", ["run", "compare", "sweep"])
 def test_unusable_output_dir_exits_2_before_any_evaluation(tmp_path, capsys, monkeypatch,
                                                            command, layout):
     # found before the run, not after it: the directory is still made only after the run
     calls = _count_evaluations(monkeypatch)
+    out = {"file-in-path": tmp_path / "f" / "o" / "p", "file": tmp_path / "f",
+           "read-only-parent": tmp_path / "ro" / "o", "null-byte": tmp_path / "a\0b",
+           "name-too-long": tmp_path / ("x" * 300) / "out"}[layout]
+    # a null byte cannot be passed in a process's argv, so it comes from the config
+    in_config = {"output_dir": str(out)} if layout == "null-byte" else {}
     cfg = write_config(tmp_path / "c.yaml", {
         "objective": dict(SPHERE_1D), "bo": {"init_count": 3},
         "experiment": _experiment({"kind": "pso_bo"}, {"kind": "random_search"}),
-        "sweep": {"omegas": [0.3, 0.6], "seeds": [0, 1], "budget": 8},
+        "sweep": {"omegas": [0.3, 0.6], "seeds": [0, 1], "budget": 8}, **in_config,
     })
     (tmp_path / "f").write_text("not a directory", encoding="utf-8")
     (tmp_path / "ro").mkdir()
-    out = {"file-in-path": tmp_path / "f" / "o" / "p", "file": tmp_path / "f",
-           "read-only-parent": tmp_path / "ro" / "o"}[layout]
     real_access = os.access
     monkeypatch.setattr(os, "access", lambda path, mode: Path(path) != tmp_path / "ro"
                         and real_access(path, mode))
     before = sorted(tmp_path.rglob("*"))
-    assert main([command, "--config", cfg, "--output-dir", str(out)]) == EXIT_CONFIG
-    assert "is not a writable directory" in capsys.readouterr().err
+    argv = [] if in_config else ["--output-dir", str(out)]
+    assert main([command, "--config", cfg, *argv]) == EXIT_CONFIG
+    reason = {"null-byte": "embedded null byte",
+              "name-too-long": "File name too long"}.get(layout, "is not a writable directory")
+    assert f"config error: output directory {str(out)!r}" in (err := capsys.readouterr().err)
+    assert reason in err
     assert calls == []
     assert sorted(tmp_path.rglob("*")) == before
 
@@ -823,21 +831,33 @@ def test_ucb_run_leaves_scipy_linalg_out(tmp_path, run_config):
     assert load_result(tmp_path / "o")["n_evaluations"] == 6
 
 
-@pytest.mark.parametrize("command, jobs", [("compare", "1"), ("sweep", "1"),
+@pytest.mark.parametrize("command, jobs", [("compare", "1"), ("sweep", "1"), ("compare", "2"),
                                            ("compare", "4"), ("sweep", "3")])
 def test_cells_run_on_the_calling_thread(tmp_path, compare_config, monkeypatch, command, jobs):
     # at --jobs 1 every evaluation is on main's thread; above it, only proposals
-    # leave the process, and every evaluation stays in it, on the cells' threads
+    # leave the process, and every evaluation stays in it, a pso_bo or local_bo
+    # cell's on its own thread and a random or grid search cell's on main's
     calls = _record_objective_calls(monkeypatch, lambda: (os.getpid(), threading.get_ident()))
+    baselines, observe = [], bench.observe
+
+    def record_baselines(*args):  # bench.observe is the baselines' evaluation step
+        baselines.append(threading.get_ident())
+        return observe(*args)
+
+    monkeypatch.setattr(bench, "observe", record_baselines)
     sweep = {"omegas": [0.3, 0.6], "seeds": [0, 1], "budget": 8}
-    cfg = compare_config if command == "compare" else write_config(
+    experiment = yaml.safe_load(Path(compare_config).read_text(encoding="utf-8"))
+    experiment["experiment"]["methods"].append({"kind": "grid_search", "points_per_dim": 4})
+    cfg = write_config(tmp_path / "c.yaml", experiment) if command == "compare" else write_config(
         tmp_path / "s.yaml", {"objective": dict(SPHERE_1D), "sweep": sweep})
     assert main([command, "--config", cfg, "--output-dir", str(tmp_path / "o"),
                  "--jobs", jobs]) == EXIT_OK
-    assert len(calls) == (3 if command == "compare" else 2) * 2 * 8
+    assert len(calls) == (4 if command == "compare" else 2) * 2 * 8
     assert {pid for pid, _ in calls} == {os.getpid()}
     if jobs == "1":
         assert {thread for _, thread in calls} == {threading.get_ident()}
+    assert len(baselines) == (2 * 2 * 8 if command == "compare" else 0)
+    assert set(baselines) <= {threading.get_ident()}
 
 
 def test_cli_import_leaves_pool_modules_out():
@@ -881,9 +901,9 @@ def test_every_worker_is_forked_before_any_cell_starts(monkeypatch):
     # forking a process whose cell threads run could copy a lock one of them holds
     counts, real = [], bench.run_method_cell
 
-    def run_method_cell(*args):
+    def run_method_cell(*args, **kwargs):
         counts.append(len(multiprocessing.active_children()))
-        return real(*args)
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(bench, "run_method_cell", run_method_cell)
     run_experiment(sweep_methods([0.3, 0.6]), ObjectiveSpec(**SPHERE_1D), [0, 1], 8, jobs=2)
@@ -926,7 +946,7 @@ def test_interrupt_stops_a_pooled_experiment(monkeypatch, second):
     methods, seeds = sweep_methods([0.1 * k for k in range(1, 10)]), list(range(6))
     started, timers, real = [], [], bench.run_method_cell
 
-    def run_method_cell(method, objective_spec, config, seed, budget):
+    def run_method_cell(method, objective_spec, config, seed, budget, **kwargs):
         started.append((method, seed))
         if (method, seed) == (methods[0], seeds[0]):
             time.sleep(0.3)  # every cell thread is busy by now
@@ -935,7 +955,7 @@ def test_interrupt_stops_a_pooled_experiment(monkeypatch, second):
                                               (threading.main_thread().ident, signal.SIGINT)))
                 timers[0].start()
             raise KeyboardInterrupt
-        return real(method, objective_spec, config, seed, budget)
+        return real(method, objective_spec, config, seed, budget, **kwargs)
 
     monkeypatch.setattr(bench, "run_method_cell", run_method_cell)
     if second:  # the forked workers inherit the patch
@@ -950,6 +970,32 @@ def test_interrupt_stops_a_pooled_experiment(monkeypatch, second):
     assert len(started) <= bench.CELL_THREADS + 1 < len(methods) * len(seeds)
     assert multiprocessing.active_children() == []
     assert not any(timer.is_alive() for timer in timers)
+
+
+@pytest.mark.skipif(bench.pool_size(2, 3) < 2, reason="one usable CPU: no pool")
+def test_interrupt_in_a_baseline_cell_stops_every_evaluation(monkeypatch):
+    # random and grid search cells run on the calling thread, so no baseline cell
+    # is left running on a thread of its own once run_experiment has re-raised
+    threads, interrupted, observe = [], [], bench.observe
+
+    def record(space, objective, x, index, iteration, phase):
+        if phase == RANDOM_SEARCH:
+            threads.append(threading.get_ident())
+            time.sleep(0.1)  # a cell thread would run its budget long after the re-raise
+            if index == 2 and not interrupted:  # the first cell to reach its third evaluation
+                interrupted.append(objective)
+                raise KeyboardInterrupt
+        return observe(space, objective, x, index, iteration, phase)
+
+    monkeypatch.setattr(bench, "observe", record)
+    with pytest.raises(KeyboardInterrupt):
+        run_experiment([MethodSpec(PSO_BO), MethodSpec(RANDOM_SEARCH)],
+                       ObjectiveSpec(**SPHERE_1D), [0, 1, 2], 35, jobs=2)
+    seen = len(threads)
+    time.sleep(0.3)
+    assert len(threads) == seen == 3
+    assert set(threads) == {threading.get_ident()}
+    assert multiprocessing.active_children() == []
 
 
 def _worker_blas_threads():
@@ -1016,9 +1062,9 @@ class TestOneBlasThread:
         # the library pins its own workers, whatever the caller's count
         counts, real = [], bench.run_method_cell
 
-        def run_method_cell(*args):
-            counts.append(boloop._proposals.pool.submit(_worker_blas_threads).result())
-            return real(*args)
+        def run_method_cell(*args, pool):
+            counts.append(pool.submit(_worker_blas_threads).result())
+            return real(*args, pool=pool)
 
         monkeypatch.setattr(bench, "run_method_cell", run_method_cell)
         run_experiment([MethodSpec(PSO_BO)], ObjectiveSpec(**SPHERE_1D), [0, 1], 8, jobs=2)
