@@ -14,6 +14,7 @@ import itertools
 import json
 import logging
 import math
+import numbers
 import os
 import signal
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -269,15 +270,12 @@ def local_ascent(space: SearchSpace, surface, rng: np.random.Generator,
     return np.array(x[best])
 
 
-def _local_ascent(*args, **kwargs):
-    """local_ascent as it is when called, under a name that pickles into a pool worker."""
-    return local_ascent(*args, **kwargs)
-
-
-def _propose(config, history, t, maximizer, start):
-    """boloop.propose_next as a pool worker runs it: a module-level function
-    pickles by name, and the worker calls its own copy of boloop's."""
-    return boloop.propose_next(config, history, t, maximizer=maximizer, start=start)
+def _propose(method, config, history, t, start):
+    """boloop.propose_next for a pso_bo or local_bo `method`, maximized by local_ascent for
+    local_bo; both read when called, so a pool worker, sent `method` as data, calls its own."""
+    ascent = (functools.partial(local_ascent, restarts=method.restarts, max_steps=method.max_steps)
+              if method.kind == LOCAL_BO else None)
+    return boloop.propose_next(config, history, t, maximizer=ascent, start=start)
 
 
 def grid_points(space: SearchSpace, points_per_dim: int):
@@ -361,15 +359,9 @@ def run_method_cell(method: MethodSpec, objective_spec: ObjectiveSpec,
     if method.kind in (PSO_BO, LOCAL_BO):
         config = replace(config, pso=method.pso or config.pso,
                          iterations=budget - config.init_count, seed=seed)
-
-        # the same BO loop, maximized by local ascent
-        ascent = (functools.partial(_local_ascent, restarts=method.restarts, max_steps=method.max_steps)
-                  if method.kind == LOCAL_BO else None)
-        if pool is None:
-            propose = functools.partial(boloop.propose_next, maximizer=ascent)
-        else:  # a pure function of its arguments: every stream is keyed by seed and step
-            def propose(config, history, t, start):
-                return pool.submit(_propose, config, history, t, ascent, start).result()
+        step = functools.partial(_propose, method)
+        # a pure function of its arguments: every stream is keyed by seed and step
+        propose = step if pool is None else lambda *args, **kw: pool.submit(step, *args, **kw).result()
         result = run_bo(config, objective, propose=propose)
     else:
         # a baseline scans its lattice in order, then uniform draws, truncated to
@@ -473,6 +465,8 @@ def run_experiment(methods: list[MethodSpec], objective_spec: ObjectiveSpec,
         raise ConfigError(f"duplicate seeds in {list(seeds)}")
     if not all(s >= 0 for s in seeds):  # seeds are no sizes: uncapped
         raise ConfigError(f"seeds must be non-negative, got {list(seeds)}")
+    if not all(isinstance(s, numbers.Integral) for s in seeds):
+        raise ConfigError(f"seeds must be integers, got {list(seeds)}")
     check_size("budget", budget, 1)
     if config is None:
         config = BoConfig(space=default_space(objective_spec))

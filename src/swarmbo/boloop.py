@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+import numbers
 import zlib
 from dataclasses import dataclass
 
@@ -65,6 +66,8 @@ class BoConfig:
         check_size("iterations", self.iterations, 1)
         if not self.seed >= 0:  # a seed is no size: any non-negative integer seeds the streams
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        if not isinstance(self.seed, numbers.Integral):
+            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
         if self.noise_var is not None:
             check_finite("noise_var", self.noise_var)
 

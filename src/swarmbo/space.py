@@ -8,6 +8,7 @@ and reporting boundaries.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field
 
@@ -23,13 +24,15 @@ class ConfigError(ValueError):
 
 
 def check_size(name: str, value, least: int):
-    """Raise ConfigError unless `least <= value <= sys.maxsize`, a size numpy can
-    index; NaN fails both comparisons."""
+    """Raise ConfigError unless `value` is an integer (numbers.Integral) with
+    `least <= value <= sys.maxsize`, a size numpy can index; NaN fails both comparisons."""
     if not value >= least:
         got = "" if value < -sys.maxsize else f", got {value!r}"  # repr fails past 4,300 digits
         raise ConfigError(f"{name} must be at least {least}{got}")
     if not value <= sys.maxsize:  # no value in the message, for the same reason
         raise ConfigError(f"{name} must be at most {sys.maxsize}")
+    if not isinstance(value, numbers.Integral):  # 40.0 would fail in range() or a shape
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
 def check_finite(name: str, value):

@@ -100,6 +100,14 @@ def test_nan_fails_every_range_check(field):
         {**SIZES, **NON_NEGATIVE}[field](float("nan"))
 
 
+@pytest.mark.parametrize("value", [2.5, 40.0])
+@pytest.mark.parametrize("field", [*SIZES, "seed", "seeds"])
+def test_non_integer_size_is_a_config_error(field, value):
+    # a float in range passes every comparison, then fails mid-run in range() or a shape
+    with pytest.raises(ConfigError, match=rf"^{field} must be (an integer|integers), got .*{value}"):
+        {**SIZES, **NON_NEGATIVE}[field](value)
+
+
 @pytest.mark.parametrize("kwargs", [{"restarts": sys.maxsize + 1}, {"max_steps": sys.maxsize + 1},
                                     {"restarts": float("nan")}, {"max_steps": float("nan")}],
                          ids=["restarts-past-maxsize", "max-steps-past-maxsize", "nan-restarts",
@@ -784,7 +792,8 @@ class TestProcessPool:
 
     def test_wrapped_local_ascent_crosses_the_pool(self, monkeypatch):
         # a local wrapper cannot pickle by name; a local_bo step sends the
-        # module-level bench._local_ascent, which calls the wrapper in the worker
+        # module-level bench._propose and its MethodSpec, and _propose reads
+        # bench.local_ascent in the forked worker, whose copy is the wrapper
         calls, real = [], bench.local_ascent
 
         def wrapped(*args, **kwargs):

@@ -1,10 +1,12 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swarmbo import gp
-from swarmbo.acquisition import AcquisitionSpec
+from swarmbo import bench, gp
+from swarmbo.acquisition import EI, UCB, AcquisitionSpec
 from swarmbo.bench import (
     LOCAL_BO, MethodSpec, ObjectiveSpec, default_space, make_objective, run_method_cell,
 )
@@ -192,6 +194,29 @@ class TestRunBo:
         result = run_bo(config, lambda x: -abs(x[0] - 7) - (x[1] - 0.5) ** 2)
         assert result.best_point[0] == int(result.best_point[0])
         assert 0 <= result.best_point[1] <= 1
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("propose", [
+        None, functools.partial(bench._propose, MethodSpec(LOCAL_BO, restarts=4, max_steps=50))],
+        ids=["pso_bo", "local_bo"])
+    @pytest.mark.parametrize("kind", [UCB, EI])
+    def test_scaling_the_box_by_a_power_of_two_scales_every_point(self, kind, propose, seed):
+        # x -> 2**k x is exact, and the GP and both maximizers work in units of
+        # each dimension's range, so the input side of a run is unit-free
+        f = make_objective(ObjectiveSpec("branin", negate=True), seed)
+        base = default_space(ObjectiveSpec("branin"))
+        runs = {}
+        for k in (0, 3, -10):
+            space = SearchSpace(Dimension(d.name, REAL, d.lower * 2.0**k, d.upper * 2.0**k)
+                                for d in base.dims)
+            config = BoConfig(space=space, acquisition=AcquisitionSpec(kind), init_count=5,
+                              iterations=12, seed=seed)
+            runs[k] = run_bo(config, lambda x, k=k: f(x / 2.0**k), propose=propose).history
+        def bits(rows, scale=1.0):  # float.hex tells -0.0 from 0.0, as == does not
+            return [([v.hex() for v in (r.point * scale).tolist()], r.y.hex()) for r in rows]
+
+        for k in (3, -10):
+            assert bits(runs[k]) == bits(runs[0], 2.0**k)
 
 
 class TestWarmStart:
